@@ -8,7 +8,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .localizer import LocalizerConfig, SpectrumResult, detect_peaks, _scan_matrix, _step_denominator
+from .localizer import LocalizerConfig, SpectrumResult, _scan_matrix, _scan_result
 from .pr_beamformer import BeamformedData
 from .ris_optimizer import PhaseShiftMatrix
 from .signal_model import ArraySpec, steering_matrix
@@ -80,24 +80,16 @@ def no_ris_localize(y_epoch: np.ndarray, cfg: LocalizerConfig,
     """Algorithm variant without the RIS: NLMS on raw array snapshots.
 
     y_epoch is a single N_PR x L epoch containing only direct paths; the scan
-    dictionary is the plain PR steering vector, so peaks land at the PR-side
-    target angles.
+    dictionary is the plain PR steering matrix D = [a(theta_1) ... a(theta_G)],
+    so peaks land at the PR-side target angles. The recursion is the one of
+    localizer.spectrum with the snapshots y_l in place of z_l: from a_hat = 0
+    it is linear in the scan vector, so a_hat = A D with the N_PR x N_PR
+    transfer matrix A = nlms_transfer(y_epoch, cfg), one matmul for the grid.
     """
     y_epoch = np.asarray(y_epoch, dtype=complex)
-    d = steering_matrix(pr, cfg.grid)
-    a_hat = np.zeros((pr.elements, cfg.grid.size), dtype=complex)
-    for ell in range(y_epoch.shape[1]):
-        y = y_epoch[:, ell]
-        err = d.conj().T @ y - a_hat.conj().T @ y
-        a_hat += (cfg.mu / _step_denominator(y, cfg)) * np.outer(y, err.conj())
-    power = np.sum(np.abs(a_hat) ** 2, axis=0)
-    peak = power.max() if power.size else 0.0
-    if peak <= 0.0:
-        return SpectrumResult(cfg.grid, power, np.zeros_like(power), [], [],
-                              degenerate=True)
-    normalized = power / peak
-    peaks = detect_peaks(normalized, cfg.grid, cfg.threshold)
-    return SpectrumResult(cfg.grid, power, normalized, peaks, list(peaks))
+    if y_epoch.ndim != 2 or y_epoch.shape[0] != pr.elements:
+        raise ValueError(f"y_epoch must be {pr.elements} x L, got shape {y_epoch.shape}")
+    return _scan_result(y_epoch, steering_matrix(pr, cfg.grid), cfg)
 
 
 def select_estimates(result: SpectrumResult, k: int) -> List[float]:

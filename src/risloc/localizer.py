@@ -10,7 +10,7 @@ import numpy as np
 
 from .pr_beamformer import BeamformedData
 from .ris_optimizer import PhaseShiftMatrix
-from .signal_model import ArraySpec, steering_vector
+from .signal_model import ArraySpec, steering_matrix, steering_vector
 
 
 def default_grid() -> np.ndarray:
@@ -41,6 +41,10 @@ class LocalizerConfig:
         self.grid = np.asarray(self.grid, dtype=float)
         if self.grid.size == 0 or np.any(np.diff(self.grid) <= 0):
             raise ValueError("grid must be non-empty and strictly increasing")
+        bad = self.grid[~(np.abs(self.grid) < 90.0)]
+        if bad.size:
+            raise ValueError("grid angles must satisfy |theta| < 90 deg (steering is "
+                             f"undefined at +-90), got {bad.tolist()}")
 
 
 @dataclass
@@ -75,7 +79,7 @@ def scan_vector(theta: float, phases: PhaseShiftMatrix, ris: ArraySpec,
 
 
 def _scan_matrix(cfg: LocalizerConfig, phases, ris, aod_ris_pr) -> np.ndarray:
-    a = np.stack([steering_vector(ris, t) for t in cfg.grid], axis=1)
+    a = steering_matrix(ris, cfg.grid)
     if cfg.include_b:
         a = a * steering_vector(ris, aod_ris_pr)[:, None]
     return phases.matrix @ a  # N_epoch x n_grid
@@ -86,6 +90,47 @@ def _step_denominator(z: np.ndarray, cfg: LocalizerConfig) -> float:
     if cfg.textbook_norm:
         return nrm * nrm + cfg.epsilon
     return nrm + cfg.epsilon
+
+
+def nlms_transfer(z: np.ndarray, cfg: LocalizerConfig) -> np.ndarray:
+    """N x N matrix A with a_hat_L(d) = A d for every scan vector d.
+
+    From a_hat = 0 the recursion of nlms_run is linear in d: with
+    c_l = mu / _step_denominator(z_l), one snapshot maps a_hat to
+    a_hat + c_l z_l z_l^H (d - a_hat). Running it once on the identity gives
+    A <- A + c_l z_l (z_l^H - z_l^H A), so scanning any number of angles
+    costs one matmul A @ D after L rank-1 updates of an N x N matrix.
+    """
+    z = np.asarray(z, dtype=complex)
+    n = z.shape[0]
+    a = np.zeros((n, n), dtype=complex)
+    row = np.empty(n, dtype=complex)
+    upd = np.empty((n, n), dtype=complex)
+    zh = z.conj().T  # row l is z_l^H
+    for ell in range(z.shape[1]):
+        np.matmul(zh[ell], a, out=row)
+        np.subtract(zh[ell], row, out=row)
+        row *= cfg.mu / _step_denominator(z[:, ell], cfg)
+        np.multiply(z[:, ell, None], row, out=upd)
+        a += upd
+    return a
+
+
+def _scan_result(z: np.ndarray, d: np.ndarray, cfg: LocalizerConfig) -> SpectrumResult:
+    """NLMS spectrum of snapshots z (N x L) against scan vectors d (N x grid).
+
+    P(theta) = ||a_hat_L(theta)||^2 with a_hat = A D (see nlms_transfer),
+    normalized to its maximum, with peaks above cfg.threshold. An all-zero
+    spectrum is reported as degenerate.
+    """
+    power = np.sum(np.abs(nlms_transfer(z, cfg) @ d) ** 2, axis=0)
+    peak = power.max() if power.size else 0.0
+    if peak <= 0.0:
+        return SpectrumResult(cfg.grid, power, np.zeros_like(power), [], [],
+                              degenerate=True)
+    normalized = power / peak
+    peaks = detect_peaks(normalized, cfg.grid, cfg.threshold)
+    return SpectrumResult(cfg.grid, power, normalized, peaks, list(peaks))
 
 
 def nlms_run(data: BeamformedData, theta: float, cfg: LocalizerConfig,
@@ -110,24 +155,13 @@ def spectrum(data: BeamformedData, cfg: LocalizerConfig, phases: PhaseShiftMatri
              ris: ArraySpec, aod_ris_pr: float) -> SpectrumResult:
     """P(theta) = ||a_hat_L(theta)||^2 over the grid, normalized, with peaks.
 
-    All grid angles share the identical per-snapshot recursion, so the whole
-    grid is updated as one rank-1 outer product per snapshot; this equals
-    running nlms_run per angle.
+    Starting from a_hat = 0, the NLMS estimate after L snapshots is linear in
+    the scan vector: a_hat_L(theta) = A d(theta), with the N_epoch x N_epoch
+    transfer matrix A of nlms_transfer. So the whole grid is a_hat = A D for
+    the scan matrix D = V diag(b) [a(theta_1) ... a(theta_G)], which equals
+    running nlms_run once per angle.
     """
-    d = _scan_matrix(cfg, phases, ris, aod_ris_pr)
-    a_hat = np.zeros((data.n_epoch, cfg.grid.size), dtype=complex)
-    for ell in range(data.n_samples):
-        z = data.z[:, ell]
-        err = d.conj().T @ z - a_hat.conj().T @ z
-        a_hat += (cfg.mu / _step_denominator(z, cfg)) * np.outer(z, err.conj())
-    power = np.sum(np.abs(a_hat) ** 2, axis=0)
-    peak = power.max() if power.size else 0.0
-    if peak <= 0.0:
-        return SpectrumResult(cfg.grid, power, np.zeros_like(power), [], [],
-                              degenerate=True)
-    normalized = power / peak
-    peaks = detect_peaks(normalized, cfg.grid, cfg.threshold)
-    return SpectrumResult(cfg.grid, power, normalized, peaks, list(peaks))
+    return _scan_result(data.z, _scan_matrix(cfg, phases, ris, aod_ris_pr), cfg)
 
 
 def detect_peaks(normalized: np.ndarray, grid: np.ndarray, phi: float) -> list:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal_model import ArraySpec, SceneConfig, steering_vector
+from .signal_model import ArraySpec, SceneConfig, steering_matrix, steering_vector
 
 
 @dataclass
@@ -138,7 +138,7 @@ def beampattern(phases: PhaseShiftMatrix, aod_ris_pr: float, ris: ArraySpec,
                 grid) -> np.ndarray:
     """Epoch-summed power response B(theta) = sum_n |b^T diag(v_n) a(theta)|^2."""
     b = steering_vector(ris, aod_ris_pr)
-    a = np.stack([steering_vector(ris, t) for t in grid], axis=1)
+    a = steering_matrix(ris, grid)
     resp = phases.matrix @ (a * b[:, None])
     return np.sum(np.abs(resp) ** 2, axis=0)
 

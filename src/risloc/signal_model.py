@@ -175,10 +175,19 @@ def steering_vector(spec: ArraySpec, angle_deg: float) -> np.ndarray:
 
 
 def steering_matrix(spec: ArraySpec, angles_deg) -> np.ndarray:
-    """Columns are steering vectors for each angle."""
-    if len(angles_deg) == 0:
-        return np.zeros((spec.elements, 0), dtype=complex)
-    return np.stack([steering_vector(spec, a) for a in angles_deg], axis=1)
+    """Columns are steering vectors for each angle (M x len(angles_deg)).
+
+    One exp of the outer product of the element phases with sin(angles),
+    multiplied in the order steering_vector uses, so column j equals
+    steering_vector(spec, angles_deg[j]). Every angle must satisfy |angle| < 90.
+    """
+    angles = np.asarray(angles_deg, dtype=float).reshape(-1)
+    bad = angles[~(np.abs(angles) < 90.0)]
+    if bad.size:
+        raise ValueError(f"steering angle must satisfy |angle| < 90, got {bad[0]}")
+    m = np.arange(spec.elements)
+    return np.exp((2j * np.pi * spec.spacing * m)[:, None]
+                  * np.sin(np.deg2rad(angles))[None, :])
 
 
 def rician_channel(spec: ArraySpec, los_angle_deg: float, kappa: float,

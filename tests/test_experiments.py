@@ -92,6 +92,7 @@ def test_shipped_configs_load():
         cfg = load_config(os.path.join(CONFIG_DIR, name))
         scene = cfg.make_scene(np.random.default_rng(1))
         assert scene.n_targets >= 0
+        assert np.all(np.abs(cfg.localizer.grid) < 90.0)
 
 
 def test_noise_variance_matches_definition():

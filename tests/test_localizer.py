@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risloc import (ArraySpec, BeamformedData, LocalizerConfig, default_grid,
-                    detect_peaks, nlms_run, scan_vector, spectrum)
+                    detect_peaks, nlms_run, no_ris_localize, scan_vector, spectrum,
+                    steering_vector)
 from risloc.localizer import _step_denominator
 from risloc.ris_optimizer import PhaseShiftMatrix
 
@@ -47,6 +48,14 @@ def test_config_validation():
     with pytest.raises(ValueError):
         LocalizerConfig(grid=[3.0, 2.0, 1.0])
     LocalizerConfig(mu=0.0)  # frozen recursion is allowed
+
+
+@pytest.mark.parametrize("grid", [[-90.0, 0.0, 45.0], [0.0, 90.0], [-95.0, 0.0],
+                                  [0.0, np.nan]])
+def test_config_rejects_grid_outside_open_interval(grid):
+    # steering is undefined at +-90, so the grid fails at load, not at scan time
+    with pytest.raises(ValueError, match=r"\|theta\| < 90"):
+        LocalizerConfig(grid=grid)
 
 
 def test_default_grid_spans_open_interval():
@@ -157,6 +166,53 @@ def test_batch_spectrum_equals_per_angle_runs(rng):
         a_hat = nlms_run(data, theta, cfg, phases, ris, 20.0)
         np.testing.assert_allclose(res.power[i], np.sum(np.abs(a_hat) ** 2),
                                    atol=1e-10, rtol=1e-10)
+
+
+def _random_snapshots(seed, n, n_samples):
+    r = np.random.default_rng(seed)
+    return r.standard_normal((n, n_samples)) + 1j * r.standard_normal((n, n_samples))
+
+
+_kernel_cases = dict(
+    n=st.integers(1, 12), n_samples=st.integers(1, 40),
+    grid=st.lists(st.floats(-89.0, 89.0), min_size=1, max_size=15, unique=True),
+    mu=st.one_of(st.just(0.0), st.floats(0.0, 1.0)), textbook=st.booleans(),
+    seed=st.integers(0, 2 ** 32 - 1))
+
+
+@given(m=st.integers(1, 8), aod=st.floats(-60.0, 60.0), **_kernel_cases)
+@settings(max_examples=150, deadline=None)
+def test_spectrum_equals_per_angle_nlms_runs_property(n, m, n_samples, grid, mu,
+                                                      textbook, seed, aod):
+    # grid sizes 1..15 against N up to 12 cover both N > grid and N < grid
+    ris = ArraySpec(m)
+    phases = unit_phases(seed, n, m)
+    cfg = LocalizerConfig(mu=mu, grid=sorted(grid), textbook_norm=textbook)
+    data = BeamformedData(_random_snapshots(seed, n, n_samples))
+    ref = np.array([np.sum(np.abs(nlms_run(data, t, cfg, phases, ris, aod)) ** 2)
+                    for t in cfg.grid])
+    got = spectrum(data, cfg, phases, ris, aod).power
+    assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(ref)
+
+
+@given(**_kernel_cases)
+@settings(max_examples=150, deadline=None)
+def test_no_ris_equals_per_angle_runs_property(n, n_samples, grid, mu, textbook, seed):
+    pr = ArraySpec(n)
+    cfg = LocalizerConfig(mu=mu, grid=sorted(grid), textbook_norm=textbook)
+    y = _random_snapshots(seed, n, n_samples)
+    ref = []
+    for theta in cfg.grid:
+        d = steering_vector(pr, theta)
+        a_hat = np.zeros(n, dtype=complex)
+        for ell in range(n_samples):
+            z = y[:, ell]
+            err = np.vdot(d, z) - np.vdot(a_hat, z)
+            a_hat = a_hat + (cfg.mu / _step_denominator(z, cfg)) * np.conj(err) * z
+        ref.append(np.sum(np.abs(a_hat) ** 2))
+    ref = np.array(ref)
+    got = no_ris_localize(y, cfg, pr).power
+    assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(ref)
 
 
 def test_noiseless_single_source_dominates(rng):

@@ -68,6 +68,21 @@ def test_steering_matrix_stacks_columns():
     assert steering_matrix(spec, []).shape == (6, 0)
 
 
+@pytest.mark.parametrize("spacing", [0.5, 0.37])
+def test_steering_matrix_matches_stacked_vectors(spacing):
+    spec = ArraySpec(64, spacing)
+    ang = np.concatenate([np.arange(-89.5, 89.75, 0.5),
+                          np.random.default_rng(3).uniform(-89.99, 89.99, 200)])
+    ref = np.stack([steering_vector(spec, t) for t in ang], axis=1)
+    np.testing.assert_allclose(steering_matrix(spec, ang), ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [[90.0], [-90.0], [0.0, 10.0, -90.0], [0.0, np.nan]])
+def test_steering_matrix_rejects_endfire(bad):
+    with pytest.raises(ValueError, match=r"\|angle\| < 90"):
+        steering_matrix(ArraySpec(4), bad)
+
+
 def test_array_spec_validation():
     with pytest.raises(ValueError):
         ArraySpec(0)
