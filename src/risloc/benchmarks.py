@@ -1,14 +1,16 @@
 """Comparison methods and metrics: MUSIC with known target count, the no-RIS
-baseline, and the Monte-Carlo MSE."""
+baseline, and the per-trial squared error."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+import itertools
+from dataclasses import dataclass
+from typing import List, Sequence
 
 import numpy as np
 
-from .localizer import LocalizerConfig, SpectrumResult, _scan_matrix, _scan_result
+from .localizer import (LocalizerConfig, SpectrumResult, _peak_indices, _scan_matrix,
+                        _scan_result)
 from .pr_beamformer import BeamformedData
 from .ris_optimizer import PhaseShiftMatrix
 from .signal_model import ArraySpec, steering_matrix
@@ -27,21 +29,6 @@ class TrialReport:
     m_elements: int = 0
     trial: int = 0
     flagged: bool = False
-
-
-def _local_maxima(values: np.ndarray) -> list:
-    """Interior strict local maxima (plateau: leftmost index), any height."""
-    n = values.size
-    out = []
-    i = 1
-    while i < n - 1:
-        j = i
-        while j + 1 < n and values[j + 1] == values[i]:
-            j += 1
-        if (j + 1 < n and values[i] > values[i - 1] and values[i] > values[j + 1]):
-            out.append(i)
-        i = j + 1
-    return out
 
 
 def music_estimate(data: BeamformedData, k_true: int, grid,
@@ -67,7 +54,7 @@ def music_estimate(data: BeamformedData, k_true: int, grid,
     d = d / np.linalg.norm(d, axis=0)
     denom = np.sum(np.abs(noise_sub.conj().T @ d) ** 2, axis=0)
     pseudo = 1.0 / np.maximum(denom, 1e-300)
-    order = sorted(_local_maxima(pseudo), key=lambda i: -pseudo[i])
+    order = sorted(_peak_indices(pseudo), key=lambda i: -pseudo[i])
     picked = order[:k_true]
     if len(picked) < k_true:
         rest = [i for i in np.argsort(-pseudo) if i not in picked]
@@ -100,8 +87,10 @@ def select_estimates(result: SpectrumResult, k: int) -> List[float]:
 
 
 def trial_error(true_aoas: Sequence[float], estimates: Sequence[float]):
-    """Single-trial squared-error terms under sorted pairing.
+    """Single-trial squared-error terms under the minimum-cost assignment.
 
+    In 1-D, pairing sorted estimates with the sorted truths they cover is
+    optimal, so a short trial takes the cheapest choice of covered truths.
     Missing estimates are charged the worst grid error and the trial is
     flagged; surplus estimates must be trimmed by the caller.
     """
@@ -111,24 +100,11 @@ def trial_error(true_aoas: Sequence[float], estimates: Sequence[float]):
     if est.size > k:
         raise ValueError("more estimates than targets; trim before scoring")
     flagged = est.size < k
-    errs = np.full(k, MISS_ERROR_DEG)
-    if est.size:
-        errs[: est.size] = np.abs(truths[: est.size] - est)
-    mse = float(np.mean(errs ** 2)) if k else 0.0
-    return mse, flagged
-
-
-def compute_mse(true_aoas: Sequence[float],
-                estimated_aoas_per_trial: Sequence[Sequence[float]]) -> float:
-    """Monte-Carlo MSE: mean over trials and targets of (theta - theta_hat)^2.
-
-    Estimates pair with truths in sorted order; short trials are padded with
-    the worst grid error.
-    """
-    if not estimated_aoas_per_trial:
-        raise ValueError("at least one trial required")
-    total = 0.0
-    for est in estimated_aoas_per_trial:
-        mse, _ = trial_error(true_aoas, est)
-        total += mse
-    return total / len(estimated_aoas_per_trial)
+    if not k:
+        return 0.0, flagged
+    best = np.inf
+    for covered in itertools.combinations(range(k), est.size):
+        errs = np.full(k, MISS_ERROR_DEG)
+        errs[list(covered)] = np.abs(truths[list(covered)] - est)
+        best = min(best, float(np.mean(errs ** 2)))
+    return best, flagged

@@ -8,7 +8,7 @@ import dataclasses
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -16,10 +16,10 @@ import yaml
 
 from .benchmarks import TrialReport, music_estimate, no_ris_localize, select_estimates, trial_error
 from .localizer import LocalizerConfig, SpectrumResult, default_grid, spectrum
-from .pr_beamformer import BeamformedData, beamform, matched_weight
+from .pr_beamformer import BeamformedData, matched_weight
 from .ris_optimizer import PhaseShiftMatrix, solve_phase_shifts, suppression_target, beampattern
-from .signal_model import (ArraySpec, NoiseModel, PathDelays, SceneConfig, Waveform,
-                           generate_waveform, ris_incident, simulate_epochs,
+from .signal_model import (ArraySpec, NoiseModel, SceneConfig, Waveform, complex_normal,
+                           generate_waveform, pr_received, rician_channel, ris_incident,
                            steering_vector)
 
 TRIALS_CSV_HEADER = "trial,method,snr_db,m_elements,mse_deg2,detected_count,flagged"
@@ -71,9 +71,6 @@ class ExperimentConfig:
 
     def make_scene(self, rng: Optional[np.random.Generator] = None) -> SceneConfig:
         s = self.scene_spec
-        delays = None
-        if "delays" in s and s["delays"]:
-            delays = PathDelays(**s["delays"])
         return SceneConfig(
             target_aoas_ris=list(s["target_aoas_ris"]),
             target_aoas_pr=list(s["target_aoas_pr"]),
@@ -88,8 +85,6 @@ class ExperimentConfig:
             gain_targets_pr=[_parse_gain(g, rng) for g in s["gain_targets_pr"]],
             rician_ap_pr=float(s.get("rician_ap_pr", 10.0)),
             rician_targets_pr=tuple(s.get("rician_targets_pr", ())),
-            delays=delays,
-            carrier_hz=float(s.get("carrier_hz", 0.0)),
         )
 
 
@@ -105,17 +100,28 @@ def _parse_grid(spec) -> np.ndarray:
 _SCENE_KEYS = ("target_aoas_ris", "target_aoas_pr", "aoa_ap_ris", "aoa_ris_pr",
                "aod_ris_pr", "aoa_ap_pr", "gain_targets", "gain_ap_ris",
                "gain_ris_pr", "gain_ap_pr", "gain_targets_pr")
+_SCENE_OPTIONAL_KEYS = ("rician_ap_pr", "rician_targets_pr")
+_SECTIONS = ("scene", "ris", "pr", "localizer")
+
+
+def _reject_unknown(where: str, keys, known) -> None:
+    unknown = sorted(str(k) for k in keys if k not in known)
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {', '.join(unknown)}")
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    missing = [k for k in _SCENE_KEYS if k not in d.get("scene", {})]
+    scalars = ({f.name for f in dataclasses.fields(ExperimentConfig)}
+               - {"scene_spec", *_SECTIONS})
+    _reject_unknown("config", d, scalars | set(_SECTIONS))
+    scene = d.get("scene", {})
+    _reject_unknown("scene", scene, _SCENE_KEYS + _SCENE_OPTIONAL_KEYS)
+    missing = [k for k in _SCENE_KEYS if k not in scene]
     if missing:
         raise ValueError(f"scene is missing required keys: {', '.join(missing)}")
     loc = dict(d.get("localizer", {}))
     loc["grid"] = _parse_grid(loc.get("grid"))
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    extra = {k: v for k, v in d.items()
-             if k in known and k not in ("scene_spec", "ris", "pr", "localizer")}
+    extra = {k: v for k, v in d.items() if k in scalars}
     return ExperimentConfig(
         scene_spec=d["scene"],
         ris=ArraySpec(**d["ris"]),
@@ -150,18 +156,37 @@ def build_phases(cfg: ExperimentConfig, scene: SceneConfig, ris: ArraySpec,
                               init=cfg.ris_init, refine_rounds=cfg.refine_rounds)
 
 
-def ris_output_power(scene: SceneConfig, waveform: Waveform, phases: PhaseShiftMatrix,
-                     ris: ArraySpec) -> float:
-    """Mean |x_n(t)|^2 over epochs and samples for the SNR definition."""
+def beamformed_epochs(scene: SceneConfig, waveform: Waveform, phases: PhaseShiftMatrix,
+                      ris: ArraySpec, pr: ArraySpec, w: np.ndarray,
+                      rng: np.random.Generator):
+    """Noise-free beamformed epochs Z0 (N_epoch x L) and mean |x_n(t)|^2.
+
+    Row n is w^H Y_n of a noise-free pr_received epoch. Each nonzero direct
+    path is drawn with rician_channel in pr_received's order and only w^H h
+    is kept, so on the same rng state Z0 equals
+    beamform(simulate_epochs(..., NoiseModel(0.0), rng), w).z. White noise of
+    variance sigma^2 at the PR adds sigma * ||w|| * CN(0, 1) to each entry.
+    """
     incident = ris_incident(scene, waveform, ris)
     b = steering_vector(ris, scene.aod_ris_pr)
-    x = (phases.matrix * b) @ incident
-    return float(np.mean(np.abs(x) ** 2))
+    x = (phases.matrix * b) @ incident  # N_epoch x L
+    direct = [(scene.gain_ap_pr, scene.aoa_ap_pr, scene.rician_ap_pr),
+              *zip(scene.gain_targets_pr, scene.target_aoas_pr, scene.rician_targets_pr)]
+    gain_dir = np.zeros(phases.n_epoch, dtype=complex)
+    for n in range(phases.n_epoch):
+        acc = 0.0 + 0.0j
+        for gain, aoa, kappa in direct:
+            if gain != 0:
+                acc += gain * np.vdot(w, rician_channel(pr, aoa, kappa, rng))
+        gain_dir[n] = acc
+    wa = np.vdot(w, steering_vector(pr, scene.aoa_ris_pr))
+    z0 = scene.gain_ris_pr * wa * x + np.outer(gain_dir, waveform.samples)
+    return z0, float(np.mean(np.abs(x) ** 2))
 
 
 def noise_variance_for_snr(scene: SceneConfig, x_power: float, snr_db: float) -> float:
     """SNR := |gain_ris_pr|^2 * mean|x|^2 / sigma^2, solved for sigma^2."""
-    sig = abs(scene.effective_gain_ris_pr()) ** 2 * x_power
+    sig = abs(scene.gain_ris_pr) ** 2 * x_power
     return sig / (10.0 ** (snr_db / 10.0))
 
 
@@ -175,7 +200,7 @@ def _write_json(path, payload) -> None:
 
 def run_spectrum(cfg: ExperimentConfig, seed: Optional[int] = None,
                  out_dir: Optional[str] = None) -> SpectrumResult:
-    """Solve phases, simulate one acquisition, beamform and scan.
+    """Solve phases, synthesize one beamformed acquisition and scan it.
 
     Writes spectrum.csv plus a JSON summary with the detected peaks.
     """
@@ -184,12 +209,11 @@ def run_spectrum(cfg: ExperimentConfig, seed: Optional[int] = None,
     scene = cfg.make_scene(rng)
     phases = build_phases(cfg, scene, cfg.ris, rng)
     waveform = generate_waveform(cfg.n_samples, rng, cfg.waveform_kind)
-    x_power = ris_output_power(scene, waveform, phases, cfg.ris)
-    variance = noise_variance_for_snr(scene, x_power, cfg.snr_db)
-    tensor = simulate_epochs(scene, waveform, phases, cfg.pr, cfg.ris,
-                             NoiseModel(variance), rng)
     w = matched_weight(cfg.pr, scene.aoa_ris_pr)
-    data = beamform(tensor, w)
+    z0, x_power = beamformed_epochs(scene, waveform, phases, cfg.ris, cfg.pr, w, rng)
+    variance = noise_variance_for_snr(scene, x_power, cfg.snr_db)
+    data = BeamformedData(z0 + np.sqrt(variance) * np.linalg.norm(w)
+                          * complex_normal(z0.shape, rng))
     result = spectrum(data, cfg.localizer, phases, cfg.ris, scene.aod_ris_pr)
 
     out = out_dir if out_dir is not None else cfg.out_dir
@@ -208,54 +232,6 @@ def run_spectrum(cfg: ExperimentConfig, seed: Optional[int] = None,
 
 # ---------------------------------------------------------------- MSE sweep
 
-def _beamformed_parts(cfg: ExperimentConfig, scene: SceneConfig, ris: ArraySpec,
-                      phases: PhaseShiftMatrix, waveform: Waveform,
-                      rng: np.random.Generator):
-    """Noise-free beamformed rows, the no-RIS epoch, and unit-variance noise.
-
-    Splitting signal from noise lets one trial serve every SNR point with
-    shared draws (the noise is rescaled, never redrawn).
-    """
-    incident = ris_incident(scene, waveform, ris)
-    b = steering_vector(ris, scene.aod_ris_pr)
-    x = (phases.matrix * b) @ incident  # N_epoch x L
-    x_power = float(np.mean(np.abs(x) ** 2))
-    w = matched_weight(cfg.pr, scene.aoa_ris_pr)
-    s = waveform.samples
-
-    from .signal_model import rician_channel  # local import keeps module load light
-
-    gain_dir = np.zeros(cfg.n_epoch, dtype=complex)
-    g_ap = scene.effective_gain_ap_pr()
-    g_t = scene.effective_gain_targets_pr()
-    for n in range(cfg.n_epoch):
-        acc = 0.0 + 0.0j
-        if g_ap != 0:
-            acc += g_ap * np.vdot(w, rician_channel(cfg.pr, scene.aoa_ap_pr,
-                                                    scene.rician_ap_pr, rng))
-        for k in range(scene.n_targets):
-            if g_t[k] != 0:
-                acc += g_t[k] * np.vdot(w, rician_channel(
-                    cfg.pr, scene.target_aoas_pr[k], scene.rician_targets_pr[k], rng))
-        gain_dir[n] = acc
-    wa = np.vdot(w, steering_vector(cfg.pr, scene.aoa_ris_pr))
-    z0 = scene.effective_gain_ris_pr() * wa * x + np.outer(gain_dir, s)
-
-    # the baseline observes the same scene with the RIS absent
-    y0_nr = np.zeros((cfg.pr.elements, cfg.n_samples), dtype=complex)
-    if g_ap != 0:
-        y0_nr += g_ap * np.outer(rician_channel(cfg.pr, scene.aoa_ap_pr,
-                                                scene.rician_ap_pr, rng), s)
-    for k in range(scene.n_targets):
-        if g_t[k] != 0:
-            y0_nr += g_t[k] * np.outer(rician_channel(
-                cfg.pr, scene.target_aoas_pr[k], scene.rician_targets_pr[k], rng), s)
-
-    ez = (rng.standard_normal(z0.shape) + 1j * rng.standard_normal(z0.shape)) / np.sqrt(2.0)
-    e1 = (rng.standard_normal(y0_nr.shape) + 1j * rng.standard_normal(y0_nr.shape)) / np.sqrt(2.0)
-    return z0, y0_nr, x_power, np.linalg.norm(w), ez, e1
-
-
 def _sweep_trial(cfg: ExperimentConfig, m_index: int, m_elements: int,
                  trial: int) -> List[TrialReport]:
     rng = trial_rng(cfg.seed, m_index, trial)
@@ -263,8 +239,15 @@ def _sweep_trial(cfg: ExperimentConfig, m_index: int, m_elements: int,
     ris = ArraySpec(m_elements, cfg.ris.spacing)
     phases = build_phases(cfg, scene, ris, rng)
     waveform = generate_waveform(cfg.n_samples, rng, cfg.waveform_kind)
-    z0, y0_nr, x_power, w_norm, ez, e1 = _beamformed_parts(
-        cfg, scene, ris, phases, waveform, rng)
+    w = matched_weight(cfg.pr, scene.aoa_ris_pr)
+    z0, x_power = beamformed_epochs(scene, waveform, phases, ris, cfg.pr, w, rng)
+    # the baseline observes the same scene with the RIS absent
+    y0_nr = pr_received(scene, waveform, np.zeros(cfg.n_samples), cfg.pr,
+                        NoiseModel(0.0), rng)
+    # unit noise drawn once, so every SNR point rescales the same draws
+    ez = complex_normal(z0.shape, rng)
+    e1 = complex_normal(y0_nr.shape, rng)
+    w_norm = np.linalg.norm(w)
 
     k = scene.n_targets
     truths_ris = list(scene.target_aoas_ris)

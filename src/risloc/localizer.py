@@ -164,20 +164,26 @@ def spectrum(data: BeamformedData, cfg: LocalizerConfig, phases: PhaseShiftMatri
     return _scan_result(data.z, _scan_matrix(cfg, phases, ris, aod_ris_pr), cfg)
 
 
-def detect_peaks(normalized: np.ndarray, grid: np.ndarray, phi: float) -> list:
-    """Strict local maxima above phi; endpoints excluded; on a plateau the
-    leftmost sample wins."""
-    normalized = np.asarray(normalized)
-    n = normalized.size
+def _peak_indices(values: np.ndarray, phi: float = -np.inf) -> list:
+    """Indices of strict local maxima above phi; endpoints excluded; on a
+    plateau the leftmost sample wins."""
+    values = np.asarray(values)
+    n = values.size
     out = []
     i = 1
     while i < n - 1:
         j = i
-        while j + 1 < n and normalized[j + 1] == normalized[i]:
+        while j + 1 < n and values[j + 1] == values[i]:
             j += 1
-        if (j + 1 < n and normalized[i] > phi
-                and normalized[i] > normalized[i - 1]
-                and normalized[i] > normalized[j + 1]):
-            out.append(float(grid[i]))
+        if (j + 1 < n and values[i] > phi
+                and values[i] > values[i - 1]
+                and values[i] > values[j + 1]):
+            out.append(i)
         i = j + 1
     return out
+
+
+def detect_peaks(normalized: np.ndarray, grid: np.ndarray, phi: float) -> list:
+    """Grid angles of the strict local maxima of normalized above phi (see
+    _peak_indices)."""
+    return [float(grid[i]) for i in _peak_indices(normalized, phi)]

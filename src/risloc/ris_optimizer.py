@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal_model import ArraySpec, SceneConfig, steering_matrix, steering_vector
+from .signal_model import (ArraySpec, SceneConfig, complex_normal, steering_matrix,
+                           steering_vector)
 
 
 @dataclass
@@ -108,8 +109,7 @@ def solve_phase_shifts(a_tilde: np.ndarray, n_epoch: int, rng: np.random.Generat
     m_elements = a_tilde.size
     proj = orthogonal_projector(a_tilde)
     if init == "gaussian":
-        gamma = (rng.standard_normal((m_elements, n_epoch))
-                 + 1j * rng.standard_normal((m_elements, n_epoch))) / np.sqrt(2.0)
+        gamma = complex_normal((m_elements, n_epoch), rng)
     elif init == "chirp":
         gamma = _chirp_columns(m_elements, n_epoch, rng)
     else:

@@ -24,27 +24,10 @@ class ArraySpec:
 
 
 @dataclass
-class PathDelays:
-    """Propagation delays in seconds, folded into gains as carrier phases.
-
-    Per-target lists must match the scene's target count.
-    """
-
-    ap_targets: Optional[Sequence[float]] = None
-    targets_ris: Optional[Sequence[float]] = None
-    ap_ris: float = 0.0
-    ris_pr: float = 0.0
-    ap_pr: float = 0.0
-    targets_pr: Optional[Sequence[float]] = None
-
-
-@dataclass
 class SceneConfig:
     """Geometry, complex path gains and Rician factors for AP, RIS, PR and targets.
 
-    Angles are in degrees. Gains are complex amplitudes. Delays, when given,
-    multiply the corresponding gain by exp(-j*2*pi*carrier_hz*tau); with
-    carrier_hz=0 the gains are used exactly as configured.
+    Angles are in degrees. Gains are complex amplitudes.
     """
 
     target_aoas_ris: Sequence[float]
@@ -60,8 +43,6 @@ class SceneConfig:
     gain_targets_pr: Sequence[complex]
     rician_ap_pr: float = 10.0
     rician_targets_pr: Sequence[float] = ()
-    delays: Optional[PathDelays] = None
-    carrier_hz: float = 0.0
 
     def __post_init__(self):
         k = len(self.target_aoas_ris)
@@ -82,44 +63,6 @@ class SceneConfig:
     @property
     def n_targets(self) -> int:
         return len(self.target_aoas_ris)
-
-    def _phase(self, tau: float) -> complex:
-        return np.exp(-2j * np.pi * self.carrier_hz * tau)
-
-    def effective_gain_targets(self) -> np.ndarray:
-        """Two-way AP-target-RIS gains with delay phases applied."""
-        g = np.asarray(self.gain_targets, dtype=complex)
-        d = self.delays
-        if d is not None and self.carrier_hz != 0.0:
-            ap = d.ap_targets or [0.0] * self.n_targets
-            tr = d.targets_ris or [0.0] * self.n_targets
-            g = g * np.array([self._phase(a + b) for a, b in zip(ap, tr)])
-        return g
-
-    def effective_gain_ap_ris(self) -> complex:
-        if self.delays is not None and self.carrier_hz != 0.0:
-            return self.gain_ap_ris * self._phase(self.delays.ap_ris)
-        return self.gain_ap_ris
-
-    def effective_gain_ris_pr(self) -> complex:
-        if self.delays is not None and self.carrier_hz != 0.0:
-            return self.gain_ris_pr * self._phase(self.delays.ris_pr)
-        return self.gain_ris_pr
-
-    def effective_gain_ap_pr(self) -> complex:
-        if self.delays is not None and self.carrier_hz != 0.0:
-            return self.gain_ap_pr * self._phase(self.delays.ap_pr)
-        return self.gain_ap_pr
-
-    def effective_gain_targets_pr(self) -> np.ndarray:
-        """Direct AP-target-PR gains with delay phases applied."""
-        g = np.asarray(self.gain_targets_pr, dtype=complex)
-        d = self.delays
-        if d is not None and self.carrier_hz != 0.0:
-            ap = d.ap_targets or [0.0] * self.n_targets
-            tp = d.targets_pr or [0.0] * self.n_targets
-            g = g * np.array([self._phase(a + b) for a, b in zip(ap, tp)])
-        return g
 
 
 @dataclass
@@ -190,14 +133,18 @@ def steering_matrix(spec: ArraySpec, angles_deg) -> np.ndarray:
                   * np.sin(np.deg2rad(angles))[None, :])
 
 
+def complex_normal(shape, rng: np.random.Generator) -> np.ndarray:
+    """Unit-variance circular complex Gaussian draws, real parts drawn first."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
 def rician_channel(spec: ArraySpec, los_angle_deg: float, kappa: float,
                    rng: np.random.Generator) -> np.ndarray:
     """LoS steering vector plus scattered CN(0,1) part, mixed by the K-factor."""
     if kappa < 0:
         raise ValueError(f"Rician factor must be non-negative, got {kappa}")
     los = steering_vector(spec, los_angle_deg)
-    nlos = (rng.standard_normal(spec.elements)
-            + 1j * rng.standard_normal(spec.elements)) / np.sqrt(2.0)
+    nlos = complex_normal(spec.elements, rng)
     return np.sqrt(kappa / (1.0 + kappa)) * los + np.sqrt(1.0 / (1.0 + kappa)) * nlos
 
 
@@ -207,7 +154,7 @@ def generate_waveform(length: int, rng: np.random.Generator,
     if length < 1:
         raise ValueError(f"waveform length must be >= 1, got {length}")
     if kind == "gaussian":
-        s = (rng.standard_normal(length) + 1j * rng.standard_normal(length)) / np.sqrt(2.0)
+        s = complex_normal(length, rng)
     elif kind == "qpsk":
         s = rng.choice(np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0), size=length)
     else:
@@ -222,10 +169,9 @@ def ris_incident(scene: SceneConfig, waveform: Waveform, ris: ArraySpec) -> np.n
     """
     s = waveform.samples
     out = np.zeros((ris.elements, len(s)), dtype=complex)
-    gains = scene.effective_gain_targets()
     for k in range(scene.n_targets):
-        out += gains[k] * np.outer(steering_vector(ris, scene.target_aoas_ris[k]), s)
-    a0 = scene.effective_gain_ap_ris()
+        out += scene.gain_targets[k] * np.outer(steering_vector(ris, scene.target_aoas_ris[k]), s)
+    a0 = scene.gain_ap_ris
     if a0 != 0:
         out += a0 * np.outer(steering_vector(ris, scene.aoa_ap_ris), s)
     return out
@@ -254,23 +200,20 @@ def pr_received(scene: SceneConfig, waveform: Waveform, x_n: np.ndarray,
     if rng is None:
         rng = np.random.default_rng(noise.seed)
     s = waveform.samples
-    L = len(s)
-    y = scene.effective_gain_ris_pr() * np.outer(
+    y = scene.gain_ris_pr * np.outer(
         steering_vector(pr, scene.aoa_ris_pr), x_n)
-    g_ap = scene.effective_gain_ap_pr()
+    g_ap = scene.gain_ap_pr
     if g_ap != 0:
         h = rician_channel(pr, scene.aoa_ap_pr, scene.rician_ap_pr, rng)
         y += g_ap * np.outer(h, s)
-    g_t = scene.effective_gain_targets_pr()
+    g_t = scene.gain_targets_pr
     for k in range(scene.n_targets):
         if g_t[k] != 0:
             h = rician_channel(pr, scene.target_aoas_pr[k],
                                scene.rician_targets_pr[k], rng)
             y += g_t[k] * np.outer(h, s)
     if noise.variance > 0:
-        e = (rng.standard_normal((pr.elements, L))
-             + 1j * rng.standard_normal((pr.elements, L))) / np.sqrt(2.0)
-        y += np.sqrt(noise.variance) * e
+        y += np.sqrt(noise.variance) * complex_normal((pr.elements, len(s)), rng)
     return y
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risloc import (MISS_ERROR_DEG, ArraySpec, BeamformedData, LocalizerConfig,
-                    SpectrumResult, compute_mse, music_estimate,
+                    SpectrumResult, music_estimate,
                     no_ris_localize, select_estimates, steering_vector,
                     trial_error)
 from risloc.localizer import scan_vector
@@ -167,11 +167,11 @@ def test_trial_error_no_targets():
     assert mse == 0.0 and not flagged
 
 
-def test_compute_mse_arithmetic():
-    assert compute_mse([0.0, 10.0], [[1.0, 11.0]]) == pytest.approx(1.0)
-    assert compute_mse([0.0, 10.0], [[0.0, 10.0], [2.0, 10.0]]) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        compute_mse([0.0], [])
+def test_trial_error_short_trial_takes_cheapest_cover():
+    # sorted pairing charges 25 against 5 (400 + 90^2); covering 25 costs 90^2
+    mse, flagged = trial_error([5.0, 25.0], [25.0])
+    assert flagged
+    assert mse == 4050.0
 
 
 @st.composite

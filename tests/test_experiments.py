@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 import yaml
 
-from risloc import cli
-from risloc.experiments import (TRIALS_CSV_HEADER, _parse_gain, config_from_dict,
-                                load_config, noise_variance_for_snr,
+from risloc import (ArraySpec, NoiseModel, beamform, cli, generate_waveform,
+                    matched_weight, ris_incident, ris_reflect, simulate_epochs)
+from risloc.experiments import (TRIALS_CSV_HEADER, _parse_gain, beamformed_epochs,
+                                config_from_dict, load_config, noise_variance_for_snr,
                                 run_beampattern, run_mse_sweep, run_spectrum,
                                 trial_rng)
+from risloc.ris_optimizer import PhaseShiftMatrix
 
 from conftest import make_scene
 
@@ -95,6 +97,20 @@ def test_shipped_configs_load():
         assert np.all(np.abs(cfg.localizer.grid) < 90.0)
 
 
+def test_unknown_config_keys_fail_at_load(tmp_path):
+    with open(os.path.join(CONFIG_DIR, "mse_sweep.yaml")) as fh:
+        shipped = yaml.safe_load(fh)
+    misspelt = dict(shipped, trails=5)
+    path = tmp_path / "misspelt.yaml"
+    path.write_text(yaml.safe_dump(misspelt))
+    with pytest.raises(ValueError, match="trails"):
+        load_config(path)
+    d = tiny_config_dict()
+    d["scene"]["carrier_hz"] = 1e9
+    with pytest.raises(ValueError, match="carrier_hz"):
+        config_from_dict(d)
+
+
 def test_noise_variance_matches_definition():
     scene = make_scene(gain_ris_pr=0.5 + 0j)
     # SNR = |rho|^2 * xbar / sigma^2
@@ -111,6 +127,27 @@ def test_trial_rng_streams_are_stable():
 
 
 # ---------------------------------------------------------------- drivers
+
+@pytest.mark.parametrize("overrides", [{}, {"gain_ap_pr": 0j}])
+def test_beamformed_epochs_equal_the_per_epoch_chain(overrides):
+    # a direct path with zero gain is skipped by pr_received together with its
+    # fading draw, so the chain must skip the draw too to stay on one stream
+    scene = make_scene(**overrides)
+    ris, pr = ArraySpec(8), ArraySpec(4)
+    setup = np.random.default_rng(3)
+    phases = PhaseShiftMatrix(np.exp(2j * np.pi * setup.uniform(size=(6, ris.elements))))
+    wf = generate_waveform(20, setup)
+    w = matched_weight(pr, scene.aoa_ris_pr)
+    chain_rng, oracle_rng = np.random.default_rng(8), np.random.default_rng(8)
+    z0, x_power = beamformed_epochs(scene, wf, phases, ris, pr, w, chain_rng)
+    ref = beamform(simulate_epochs(scene, wf, phases, pr, ris, NoiseModel(0.0),
+                                   oracle_rng), w).z
+    assert np.max(np.abs(z0 - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert chain_rng.standard_normal() == oracle_rng.standard_normal()
+    incident = ris_incident(scene, wf, ris)
+    x = np.stack([ris_reflect(incident, v, scene.aod_ris_pr, ris) for v in phases.matrix])
+    assert x_power == pytest.approx(float(np.mean(np.abs(x) ** 2)), rel=1e-12)
+
 
 def test_spectrum_run_reproducible_bytes(tmp_path):
     cfg = config_from_dict(tiny_config_dict())

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import risloc.signal_model as sm
-from risloc import (ArraySpec, NoiseModel, PathDelays, Waveform,
+from risloc import (ArraySpec, NoiseModel, Waveform,
                     generate_waveform, pr_received, rician_channel,
                     ris_incident, ris_reflect, simulate_epochs,
                     steering_matrix, steering_vector)
@@ -300,34 +300,6 @@ def test_simulate_epochs_builds_incident_field_once(rng, scene, monkeypatch):
     simulate_epochs(scene, wf, phases, ArraySpec(4), ArraySpec(8),
                     NoiseModel(0.0), rng)
     assert calls["n"] == 1
-
-
-# ------------------------------------------------------------- delays
-
-def test_delays_inert_without_carrier():
-    scene = make_scene(delays=PathDelays(ris_pr=1e-6, ap_ris=2e-6))
-    assert scene.effective_gain_ris_pr() == scene.gain_ris_pr
-    assert scene.effective_gain_ap_ris() == scene.gain_ap_ris
-
-
-def test_delays_rotate_gains_with_carrier():
-    scene = make_scene(carrier_hz=1e9,
-                       delays=PathDelays(ris_pr=1e-9, ap_pr=0.25e-9))
-    # full turn: exp(-j*2*pi*1e9*1e-9) = 1
-    np.testing.assert_allclose(scene.effective_gain_ris_pr(),
-                               scene.gain_ris_pr, atol=1e-12)
-    # quarter turn: multiply by -j
-    np.testing.assert_allclose(scene.effective_gain_ap_pr(),
-                               -1j * scene.gain_ap_pr, atol=1e-12)
-
-
-def test_delays_accumulate_over_two_hops():
-    scene = make_scene(carrier_hz=1e9,
-                       delays=PathDelays(ap_targets=[0.25e-9, 0.0],
-                                         targets_ris=[0.25e-9, 0.0]))
-    g = scene.effective_gain_targets()
-    np.testing.assert_allclose(g[0], -scene.gain_targets[0], atol=1e-12)
-    np.testing.assert_allclose(g[1], scene.gain_targets[1], atol=1e-12)
 
 
 # ------------------------------------------------------------- validation
