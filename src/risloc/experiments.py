@@ -5,6 +5,7 @@ artifacts."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -33,6 +34,8 @@ def _parse_gain(spec, rng: Optional[np.random.Generator]) -> complex:
     """
     if isinstance(spec, (int, float, complex)):
         return complex(spec)
+    if not isinstance(spec, dict) or "db" not in spec or set(spec) - {"db", "phase_deg"}:
+        raise ValueError(f"gain must be a number or {{db, phase_deg}}, got {spec!r}")
     mag = 10.0 ** (float(spec["db"]) / 20.0)
     phase = spec.get("phase_deg")
     if phase is None:
@@ -42,14 +45,28 @@ def _parse_gain(spec, rng: Optional[np.random.Generator]) -> complex:
     return mag * np.exp(1j * np.deg2rad(float(phase)))
 
 
+def _scene_value(f: dataclasses.Field, value, rng: Optional[np.random.Generator]):
+    """One entry of the scene: block, typed by its SceneConfig field: gain_*
+    entries go through _parse_gain, the rest are floats; Sequence fields take
+    lists."""
+    parse = (lambda g: _parse_gain(g, rng)) if f.name.startswith("gain_") else float
+    try:
+        return [parse(v) for v in value] if "Sequence" in str(f.type) else parse(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"scene key {f.name}: {exc}") from exc
+
+
+METHODS = ("nlms_ris", "music_ris", "nlms_no_ris")
+
+
 @dataclass
 class ExperimentConfig:
-    scene_spec: dict
+    scene_spec: dict = dataclasses.field(metadata={"key": "scene"})
     ris: ArraySpec
     pr: ArraySpec
-    localizer: LocalizerConfig
     n_epoch: int
     n_samples: int
+    localizer: LocalizerConfig = dataclasses.field(default_factory=LocalizerConfig)
     snr_db: float = 0.0
     snr_sweep_db: Sequence[float] = ()
     trials: int = 200
@@ -59,7 +76,7 @@ class ExperimentConfig:
     refine_rounds: int = 1
     waveform_kind: str = "gaussian"
     m_sweep: Optional[Sequence[int]] = None
-    methods: Sequence[str] = ("nlms_ris", "music_ris", "nlms_no_ris")
+    methods: Sequence[str] = METHODS
     beampattern_placements: Sequence[float] = ()
     mse_target_deg2: float = 10.0
 
@@ -68,24 +85,16 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.n_epoch < 1 or self.n_samples < 1:
             raise ValueError("n_epoch and n_samples must be >= 1")
+        if not self.methods:
+            raise ValueError("methods must be non-empty")
+        _reject_unknown("methods", self.methods, METHODS)
 
     def make_scene(self, rng: Optional[np.random.Generator] = None) -> SceneConfig:
-        s = self.scene_spec
-        return SceneConfig(
-            target_aoas_ris=list(s["target_aoas_ris"]),
-            target_aoas_pr=list(s["target_aoas_pr"]),
-            aoa_ap_ris=float(s["aoa_ap_ris"]),
-            aoa_ris_pr=float(s["aoa_ris_pr"]),
-            aod_ris_pr=float(s["aod_ris_pr"]),
-            aoa_ap_pr=float(s["aoa_ap_pr"]),
-            gain_targets=[_parse_gain(g, rng) for g in s["gain_targets"]],
-            gain_ap_ris=_parse_gain(s["gain_ap_ris"], rng),
-            gain_ris_pr=_parse_gain(s["gain_ris_pr"], rng),
-            gain_ap_pr=_parse_gain(s["gain_ap_pr"], rng),
-            gain_targets_pr=[_parse_gain(g, rng) for g in s["gain_targets_pr"]],
-            rician_ap_pr=float(s.get("rician_ap_pr", 10.0)),
-            rician_targets_pr=tuple(s.get("rician_targets_pr", ())),
-        )
+        """The scene: block as a SceneConfig. Entries are parsed in field order,
+        so random gain phases are drawn in that order whatever the key order."""
+        return SceneConfig(**{f.name: _scene_value(f, self.scene_spec[f.name], rng)
+                              for f in dataclasses.fields(SceneConfig)
+                              if f.name in self.scene_spec})
 
 
 def _parse_grid(spec) -> np.ndarray:
@@ -97,38 +106,40 @@ def _parse_grid(spec) -> np.ndarray:
     return np.asarray(spec, dtype=float)
 
 
-_SCENE_KEYS = ("target_aoas_ris", "target_aoas_pr", "aoa_ap_ris", "aoa_ris_pr",
-               "aod_ris_pr", "aoa_ap_pr", "gain_targets", "gain_ap_ris",
-               "gain_ris_pr", "gain_ap_pr", "gain_targets_pr")
-_SCENE_OPTIONAL_KEYS = ("rician_ap_pr", "rician_targets_pr")
-_SECTIONS = ("scene", "ris", "pr", "localizer")
-
-
 def _reject_unknown(where: str, keys, known) -> None:
     unknown = sorted(str(k) for k in keys if k not in known)
     if unknown:
-        raise ValueError(f"unknown {where} keys: {', '.join(unknown)}")
+        raise ValueError(f"unknown {where}: {', '.join(unknown)}")
+
+
+def _section(where: str, d, cls) -> dict:
+    """d renamed to the fields of dataclass cls, whose metadata "key" names a
+    field's config key; unknown or missing required keys raise a ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be a mapping, got {d!r}")
+    fields = {f.metadata.get("key", f.name): f for f in dataclasses.fields(cls)}
+    _reject_unknown(f"{where} keys", d, fields)
+    missing = [k for k, f in fields.items() if k not in d
+               and f.default is dataclasses.MISSING
+               and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ValueError(f"{where} is missing required keys: {', '.join(missing)}")
+    return {fields[k].name: v for k, v in d.items()}
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    scalars = ({f.name for f in dataclasses.fields(ExperimentConfig)}
-               - {"scene_spec", *_SECTIONS})
-    _reject_unknown("config", d, scalars | set(_SECTIONS))
-    scene = d.get("scene", {})
-    _reject_unknown("scene", scene, _SCENE_KEYS + _SCENE_OPTIONAL_KEYS)
-    missing = [k for k in _SCENE_KEYS if k not in scene]
-    if missing:
-        raise ValueError(f"scene is missing required keys: {', '.join(missing)}")
-    loc = dict(d.get("localizer", {}))
-    loc["grid"] = _parse_grid(loc.get("grid"))
-    extra = {k: v for k, v in d.items() if k in scalars}
-    return ExperimentConfig(
-        scene_spec=d["scene"],
-        ris=ArraySpec(**d["ris"]),
-        pr=ArraySpec(**d["pr"]),
-        localizer=LocalizerConfig(**loc),
-        **extra,
-    )
+    """Build and check a config. Every block is checked against its
+    dataclass, and one scene is built from a spare rng, so bad gain specs and
+    per-target list lengths fail here rather than in the first run."""
+    kwargs = _section("config", d, ExperimentConfig)
+    _section("scene", kwargs["scene_spec"], SceneConfig)
+    kwargs["ris"] = ArraySpec(**_section("ris", kwargs["ris"], ArraySpec))
+    kwargs["pr"] = ArraySpec(**_section("pr", kwargs["pr"], ArraySpec))
+    loc = _section("localizer", kwargs.get("localizer", {}), LocalizerConfig)
+    kwargs["localizer"] = LocalizerConfig(**dict(loc, grid=_parse_grid(loc.get("grid"))))
+    cfg = ExperimentConfig(**kwargs)
+    cfg.make_scene(np.random.default_rng(0))
+    return cfg
 
 
 def load_config(path) -> ExperimentConfig:
@@ -138,6 +149,8 @@ def load_config(path) -> ExperimentConfig:
         return config_from_dict(d)
     except KeyError as exc:
         raise ValueError(f"config {path} is missing required key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"config {path}: {exc}") from exc
 
 
 def trial_rng(master_seed: int, m_index: int, trial: int) -> np.random.Generator:
@@ -225,7 +238,7 @@ def run_spectrum(cfg: ExperimentConfig, seed: Optional[int] = None,
         "noise_variance": variance,
         "k_hat": result.k_hat,
         "peaks": [float(p) for p in result.peaks],
-        "estimates": [float(p) for p in result.estimates],
+        "estimates": [float(p) for p in result.peaks],
     })
     return result
 
@@ -268,13 +281,11 @@ def _sweep_trial(cfg: ExperimentConfig, m_index: int, m_elements: int,
                                      scene.aod_ris_pr, cfg.localizer.include_b)
                 mse, flagged = trial_error(truths_ris, est)
                 detected = len(est)
-            elif method == "nlms_no_ris":
+            else:  # nlms_no_ris
                 res = no_ris_localize(y0_nr + sigma * e1, cfg.localizer, cfg.pr)
                 est = select_estimates(res, k)
                 mse, flagged = trial_error(truths_pr, est)
                 detected = res.k_hat
-            else:
-                raise ValueError(f"unknown method {method!r}")
             reports.append(TrialReport(
                 true_aoas=truths_pr if method == "nlms_no_ris" else truths_ris,
                 estimated_aoas=list(est), mse=mse, detected_count=detected,
@@ -299,8 +310,7 @@ def run_mse_sweep(cfg: ExperimentConfig, seed: Optional[int] = None,
     jobs = [(mi, m, t) for mi, m in enumerate(m_list) for t in range(cfg.trials)]
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            chunks = list(pool.map(_sweep_trial_star,
-                                   [(cfg, mi, m, t) for mi, m, t in jobs],
+            chunks = list(pool.map(_sweep_trial, itertools.repeat(cfg), *zip(*jobs),
                                    chunksize=4))
     else:
         chunks = [_sweep_trial(cfg, mi, m, t) for mi, m, t in jobs]
@@ -336,10 +346,6 @@ def run_mse_sweep(cfg: ExperimentConfig, seed: Optional[int] = None,
         "snr_sweep_db": [float(s) for s in cfg.snr_sweep_db],
     })
     return aggregate
-
-
-def _sweep_trial_star(args):
-    return _sweep_trial(*args)
 
 
 # ---------------------------------------------------------------- beampattern

@@ -4,7 +4,6 @@ steering estimates, power spectrum, normalization and peak detection."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -53,7 +52,6 @@ class SpectrumResult:
     power: np.ndarray
     normalized: np.ndarray
     peaks: list
-    estimates: list
     degenerate: bool = False
 
     @property
@@ -126,11 +124,11 @@ def _scan_result(z: np.ndarray, d: np.ndarray, cfg: LocalizerConfig) -> Spectrum
     power = np.sum(np.abs(nlms_transfer(z, cfg) @ d) ** 2, axis=0)
     peak = power.max() if power.size else 0.0
     if peak <= 0.0:
-        return SpectrumResult(cfg.grid, power, np.zeros_like(power), [], [],
+        return SpectrumResult(cfg.grid, power, np.zeros_like(power), [],
                               degenerate=True)
     normalized = power / peak
     peaks = detect_peaks(normalized, cfg.grid, cfg.threshold)
-    return SpectrumResult(cfg.grid, power, normalized, peaks, list(peaks))
+    return SpectrumResult(cfg.grid, power, normalized, peaks)
 
 
 def nlms_run(data: BeamformedData, theta: float, cfg: LocalizerConfig,

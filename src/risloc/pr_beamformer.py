@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal_model import ArraySpec, SnapshotTensor, steering_matrix, steering_vector
+from .signal_model import ArraySpec, SnapshotTensor, steering_vector
 
 
 @dataclass
@@ -23,33 +23,11 @@ class BeamformedData:
     def n_samples(self) -> int:
         return self.z.shape[1]
 
-    def to_csv(self, path) -> None:
-        flat = np.empty((self.z.shape[0], 2 * self.z.shape[1]))
-        flat[:, 0::2] = self.z.real
-        flat[:, 1::2] = self.z.imag
-        header = ",".join(f"z{i}_re,z{i}_im" for i in range(self.z.shape[1]))
-        np.savetxt(path, flat, delimiter=",", header=header, comments="")
 
-
-def matched_weight(pr: ArraySpec, aoa_ris_pr: float, null_angles=()) -> np.ndarray:
-    """Weight with unit gain toward the RIS: w = a / ||a||^2.
-
-    Optional null_angles steer zeros toward known interferer directions while
-    keeping w^H a(aoa_ris_pr) = 1 (off by default; the plain matched weight is
-    the reference behavior).
-    """
+def matched_weight(pr: ArraySpec, aoa_ris_pr: float) -> np.ndarray:
+    """Weight with unit gain toward the RIS: w = a / ||a||^2."""
     a = steering_vector(pr, aoa_ris_pr)
-    if not null_angles:
-        return a / np.vdot(a, a).real
-    block = steering_matrix(pr, null_angles)
-    # project a onto the orthogonal complement of the null directions, then
-    # rescale for a distortionless response
-    proj = np.eye(pr.elements) - block @ np.linalg.pinv(block)
-    w = proj @ a
-    gain = np.vdot(w, a)
-    if abs(gain) < 1e-12:
-        raise ValueError("null constraints leave no gain toward the RIS")
-    return w / np.conj(gain)
+    return a / np.vdot(a, a).real
 
 
 def beamform(tensor: SnapshotTensor, w: np.ndarray) -> BeamformedData:

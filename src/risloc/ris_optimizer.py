@@ -33,14 +33,6 @@ class PhaseShiftMatrix:
     def m_elements(self) -> int:
         return self.matrix.shape[1]
 
-    def to_csv(self, path) -> None:
-        # rows = epochs, each complex entry flattened to re,im
-        flat = np.empty((self.n_epoch, 2 * self.m_elements))
-        flat[:, 0::2] = self.matrix.real
-        flat[:, 1::2] = self.matrix.imag
-        header = ",".join(f"v{m}_re,v{m}_im" for m in range(self.m_elements))
-        np.savetxt(path, flat, delimiter=",", header=header, comments="")
-
 
 def suppression_target(scene: SceneConfig, ris: ArraySpec) -> np.ndarray:
     """The epoch-invariant leakage signature: diag(b) * a(aoa_ap_ris)."""

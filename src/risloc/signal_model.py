@@ -4,7 +4,7 @@ waveforms, RIS incident/reflected signals and the received-data tensor."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -80,14 +80,10 @@ class Waveform:
     def power(self) -> float:
         return float(np.mean(np.abs(self.samples) ** 2))
 
-    def __len__(self):
-        return self.samples.size
-
 
 @dataclass
 class NoiseModel:
     variance: float = 0.0
-    seed: Optional[int] = None
 
     def __post_init__(self):
         if self.variance < 0:
@@ -96,17 +92,13 @@ class NoiseModel:
 
 @dataclass
 class SnapshotTensor:
-    """Per-epoch received matrices Y_n (N_PR x L) plus their vertical stack."""
+    """Per-epoch received matrices Y_n (N_PR x L)."""
 
     per_epoch: list = field(default_factory=list)
 
     @property
     def n_epoch(self) -> int:
         return len(self.per_epoch)
-
-    @property
-    def stacked(self) -> np.ndarray:
-        return np.concatenate(self.per_epoch, axis=0)
 
 
 def steering_vector(spec: ArraySpec, angle_deg: float) -> np.ndarray:
@@ -190,15 +182,12 @@ def ris_reflect(incident: np.ndarray, v_n: np.ndarray, aod_ris_pr: float,
 
 
 def pr_received(scene: SceneConfig, waveform: Waveform, x_n: np.ndarray,
-                pr: ArraySpec, noise: NoiseModel,
-                rng: Optional[np.random.Generator] = None) -> np.ndarray:
+                pr: ArraySpec, noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:
     """One epoch at the PR: RIS path + direct AP path + direct target paths + AWGN.
 
     Rician channels are redrawn on every call, so consecutive epochs see
     independent fading.
     """
-    if rng is None:
-        rng = np.random.default_rng(noise.seed)
     s = waveform.samples
     y = scene.gain_ris_pr * np.outer(
         steering_vector(pr, scene.aoa_ris_pr), x_n)

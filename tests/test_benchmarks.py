@@ -129,8 +129,7 @@ def make_result(peaks, heights):
     grid = np.asarray(sorted(peaks))
     normalized = np.asarray([heights[p] for p in grid])
     return SpectrumResult(grid=grid, power=normalized.copy(),
-                          normalized=normalized, peaks=list(grid),
-                          estimates=list(grid))
+                          normalized=normalized, peaks=list(grid))
 
 
 def test_select_estimates_prefers_strong_peaks():

@@ -87,6 +87,12 @@ def test_load_config_reports_missing_keys(tmp_path):
     path.write_text(yaml.safe_dump(d))
     with pytest.raises(ValueError, match="aoa_ris_pr"):
         load_config(path)
+    for section in ("scene", "ris", "pr"):
+        d = tiny_config_dict()
+        del d[section]
+        path.write_text(yaml.safe_dump(d))
+        with pytest.raises(ValueError, match=f"bad.yaml.*missing required keys: {section}"):
+            load_config(path)
 
 
 def test_shipped_configs_load():
@@ -109,6 +115,31 @@ def test_unknown_config_keys_fail_at_load(tmp_path):
     d["scene"]["carrier_hz"] = 1e9
     with pytest.raises(ValueError, match="carrier_hz"):
         config_from_dict(d)
+    for section, key in (("ris", "elemnts"), ("pr", "spaceing"), ("localizer", "muu")):
+        d = tiny_config_dict()
+        d[section][key] = 1
+        with pytest.raises(ValueError, match=f"unknown {section} keys: {key}"):
+            config_from_dict(d)
+    # a misspelt gain spec, a short per-target list or a bad methods list
+    # fails while loading, not inside the first run
+    scene = tiny_config_dict()["scene"]
+    for overrides, match in (
+            ({"scene": dict(scene, gain_ap_ris={"dB": -20.0})}, "gain_ap_ris"),
+            ({"scene": dict(scene, gain_targets=[0.1])}, "per-target lists"),
+            ({"methods": ["nlms_ris", "musik_ris"]}, "unknown methods: musik_ris"),
+            ({"methods": []}, "methods must be non-empty")):
+        path.write_text(yaml.safe_dump(tiny_config_dict(**overrides)))
+        with pytest.raises(ValueError, match=f"misspelt.yaml: .*{match}"):
+            load_config(path)
+
+
+def test_scene_gain_phases_follow_field_order():
+    # random phases are drawn in SceneConfig's field order, not the key order
+    d = tiny_config_dict()
+    shuffled = dict(reversed(list(d["scene"].items())))
+    a = config_from_dict(d).make_scene(np.random.default_rng(5))
+    b = config_from_dict(dict(d, scene=shuffled)).make_scene(np.random.default_rng(5))
+    assert a == b
 
 
 def test_noise_variance_matches_definition():

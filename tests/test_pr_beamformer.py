@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from risloc import (ArraySpec, BeamformedData, SnapshotTensor, beamform,
-                    matched_weight, steering_vector)
+from risloc import ArraySpec, SnapshotTensor, beamform, matched_weight, steering_vector
 
 angles = st.floats(min_value=-89.9, max_value=89.9,
                    allow_nan=False, allow_infinity=False)
@@ -33,18 +32,6 @@ def test_matched_weight_attenuates_other_directions():
     w = matched_weight(pr, 0.0)
     for theta in (-60.0, -25.0, 10.0, 45.0):
         assert abs(np.vdot(w, steering_vector(pr, theta))) < 1.0
-
-
-def test_null_constraint_places_zero():
-    pr = ArraySpec(8)
-    w = matched_weight(pr, 0.0, null_angles=[30.0])
-    assert abs(np.vdot(w, steering_vector(pr, 30.0))) < 1e-10
-    assert abs(np.vdot(w, steering_vector(pr, 0.0)) - 1.0) < 1e-10
-
-
-def test_null_at_look_direction_is_rejected():
-    with pytest.raises(ValueError):
-        matched_weight(ArraySpec(8), 20.0, null_angles=[20.0])
 
 
 def test_beamform_passes_look_direction_through(rng):
@@ -80,13 +67,3 @@ def test_beamform_validates_input(rng):
     bad = SnapshotTensor(per_epoch=[np.zeros((6, 5), dtype=complex)])
     with pytest.raises(ValueError):
         beamform(bad, w)
-
-
-def test_beamformed_csv_round_trip(tmp_path, rng):
-    z = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-    path = tmp_path / "z.csv"
-    BeamformedData(z).to_csv(path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0].startswith("z0_re,z0_im")
-    body = np.loadtxt(lines[1:], delimiter=",")
-    np.testing.assert_allclose(body[:, 0::2] + 1j * body[:, 1::2], z, atol=1e-9)

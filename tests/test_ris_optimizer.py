@@ -35,17 +35,6 @@ def test_phase_matrix_rejects_non_unit_entries():
         PhaseShiftMatrix(np.ones(4, dtype=complex))
 
 
-def test_phase_matrix_csv_round_trip(tmp_path, rng):
-    p = PhaseShiftMatrix(np.exp(1j * rng.uniform(0, 2 * np.pi, (4, 3))))
-    path = tmp_path / "phases.csv"
-    p.to_csv(path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "v0_re,v0_im,v1_re,v1_im,v2_re,v2_im"
-    body = np.loadtxt(lines[1:], delimiter=",")
-    rebuilt = body[:, 0::2] + 1j * body[:, 1::2]
-    np.testing.assert_allclose(rebuilt, p.matrix, atol=1e-9)
-
-
 # ----------------------------------------------------------- projector
 
 def test_projector_on_first_basis_vector():
