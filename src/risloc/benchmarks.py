@@ -9,11 +9,11 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .localizer import (LocalizerConfig, SpectrumResult, _peak_indices, _scan_matrix,
-                        _scan_result)
+from .localizer import (LocalizerConfig, SpectrumResult, _peak_indices, _scan_coefficients,
+                        _scan_factors, _scan_result)
 from .pr_beamformer import BeamformedData
 from .ris_optimizer import PhaseShiftMatrix
-from .signal_model import ArraySpec, steering_matrix
+from .signal_model import ArraySpec
 
 MISS_ERROR_DEG = 90.0  # worst-case padding for missing detections
 
@@ -49,17 +49,24 @@ def music_estimate(data: BeamformedData, k_true: int, grid,
     r = r + 1e-10 * np.trace(r).real / data.n_epoch * np.eye(data.n_epoch)
     _, vecs = np.linalg.eigh(r)  # ascending eigenvalues
     noise_sub = vecs[:, : data.n_epoch - k_true]
-    cfg = LocalizerConfig(grid=np.asarray(grid, dtype=float), include_b=include_b)
-    d = _scan_matrix(cfg, phases, ris, aod_ris_pr)
-    d = d / np.linalg.norm(d, axis=0)
-    denom = np.sum(np.abs(noise_sub.conj().T @ d) ** 2, axis=0)
-    pseudo = 1.0 / np.maximum(denom, 1e-300)
+    grid = LocalizerConfig(grid=grid).grid  # checked as a scan grid
+    basis, coeff = _scan_factors(phases, ris, aod_ris_pr, grid, include_b)
+    pseudo = 1.0 / np.maximum(_music_denominator(noise_sub, basis, coeff), 1e-300)
     order = sorted(_peak_indices(pseudo), key=lambda i: -pseudo[i])
     picked = order[:k_true]
     if len(picked) < k_true:
         rest = [i for i in np.argsort(-pseudo) if i not in picked]
         picked.extend(rest[: k_true - len(picked)])
-    return sorted(float(cfg.grid[i]) for i in picked)
+    return sorted(float(grid[i]) for i in picked)
+
+
+def _music_denominator(noise_sub: np.ndarray, basis: np.ndarray,
+                       coeff: np.ndarray) -> np.ndarray:
+    """||E^H d||^2 / ||d||^2 for every scan vector d = B c, as ||(E^H B) c||^2
+    over Re(c^H (B^H B) c), so no N x grid scan matrix is formed."""
+    proj = (noise_sub.conj().T @ basis) @ coeff
+    norm2 = np.sum(coeff.conj() * ((basis.conj().T @ basis) @ coeff), axis=0).real
+    return np.sum(np.abs(proj) ** 2, axis=0) / norm2
 
 
 def no_ris_localize(y_epoch: np.ndarray, cfg: LocalizerConfig,
@@ -69,14 +76,13 @@ def no_ris_localize(y_epoch: np.ndarray, cfg: LocalizerConfig,
     y_epoch is a single N_PR x L epoch containing only direct paths; the scan
     dictionary is the plain PR steering matrix D = [a(theta_1) ... a(theta_G)],
     so peaks land at the PR-side target angles. The recursion is the one of
-    localizer.spectrum with the snapshots y_l in place of z_l: from a_hat = 0
-    it is linear in the scan vector, so a_hat = A D with the N_PR x N_PR
-    transfer matrix A = nlms_transfer(y_epoch, cfg), one matmul for the grid.
+    localizer.spectrum with the snapshots y_l in place of z_l, on the basis
+    B = I: a_hat = A D with A = nlms_adapt(y_epoch, I), one matmul for the grid.
     """
     y_epoch = np.asarray(y_epoch, dtype=complex)
     if y_epoch.ndim != 2 or y_epoch.shape[0] != pr.elements:
         raise ValueError(f"y_epoch must be {pr.elements} x L, got shape {y_epoch.shape}")
-    return _scan_result(y_epoch, steering_matrix(pr, cfg.grid), cfg)
+    return _scan_result(y_epoch, np.eye(pr.elements), _scan_coefficients(pr, cfg.grid), cfg)
 
 
 def select_estimates(result: SpectrumResult, k: int) -> List[float]:

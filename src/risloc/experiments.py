@@ -18,10 +18,11 @@ import yaml
 from .benchmarks import TrialReport, music_estimate, no_ris_localize, select_estimates, trial_error
 from .localizer import LocalizerConfig, SpectrumResult, default_grid, spectrum
 from .pr_beamformer import BeamformedData, matched_weight
-from .ris_optimizer import PhaseShiftMatrix, solve_phase_shifts, suppression_target, beampattern
-from .signal_model import (ArraySpec, NoiseModel, SceneConfig, Waveform, complex_normal,
-                           generate_waveform, pr_received, rician_channel, ris_incident,
-                           steering_vector)
+from .ris_optimizer import (RIS_INITS, PhaseShiftMatrix, beampattern, solve_phase_shifts,
+                            suppression_target)
+from .signal_model import (WAVEFORM_KINDS, ArraySpec, NoiseModel, SceneConfig, Waveform,
+                           complex_normal, generate_waveform, pr_received, rician_channel,
+                           ris_incident, steering_vector)
 
 TRIALS_CSV_HEADER = "trial,method,snr_db,m_elements,mse_deg2,detected_count,flagged"
 
@@ -88,6 +89,8 @@ class ExperimentConfig:
         if not self.methods:
             raise ValueError("methods must be non-empty")
         _reject_unknown("methods", self.methods, METHODS)
+        _reject_unknown("waveform_kind", [self.waveform_kind], WAVEFORM_KINDS)
+        _reject_unknown("ris_init", [self.ris_init], RIS_INITS)
 
     def make_scene(self, rng: Optional[np.random.Generator] = None) -> SceneConfig:
         """The scene: block as a SceneConfig. Entries are parsed in field order,

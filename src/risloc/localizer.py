@@ -3,6 +3,7 @@ steering estimates, power spectrum, normalization and peak detection."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,52 +77,71 @@ def scan_vector(theta: float, phases: PhaseShiftMatrix, ris: ArraySpec,
     return phases.matrix @ a
 
 
-def _scan_matrix(cfg: LocalizerConfig, phases, ris, aod_ris_pr) -> np.ndarray:
-    a = steering_matrix(ris, cfg.grid)
-    if cfg.include_b:
-        a = a * steering_vector(ris, aod_ris_pr)[:, None]
-    return phases.matrix @ a  # N_epoch x n_grid
+@functools.lru_cache(maxsize=8)
+def _coefficients(elements, spacing, grid: bytes, aod, include_b) -> np.ndarray:
+    spec = ArraySpec(elements, spacing)
+    c = steering_matrix(spec, np.frombuffer(grid))
+    if include_b:
+        c = c * steering_matrix(spec, [aod])
+    c.flags.writeable = False
+    return c
 
 
-def _step_denominator(z: np.ndarray, cfg: LocalizerConfig) -> float:
-    nrm = np.linalg.norm(z)
+def _scan_coefficients(spec: ArraySpec, grid, aod=0.0, include_b=False) -> np.ndarray:
+    """A(grid), times the taper column a(aod) when include_b: read-only, and
+    cached on values, so every trial and SNR point with the same M shares it."""
+    return _coefficients(spec.elements, spec.spacing,
+                         np.asarray(grid, dtype=float).tobytes(), aod, include_b)
+
+
+def _scan_factors(phases: PhaseShiftMatrix, ris: ArraySpec, aod_ris_pr, grid, include_b):
+    """Basis B and coefficients C of the scan matrix D = V diag(b) A(grid) = B C:
+    B = V (N_epoch x M), or B = I and C = D when N_epoch <= M."""
+    v, coeff = phases.matrix, _scan_coefficients(ris, grid, aod_ris_pr, include_b)
+    if v.shape[0] <= v.shape[1]:
+        return np.eye(v.shape[0]), v @ coeff
+    return v, coeff
+
+
+def _step_denominator(z: np.ndarray, cfg: LocalizerConfig, axis=None):
+    nrm = np.linalg.norm(z, axis=axis)
     if cfg.textbook_norm:
         return nrm * nrm + cfg.epsilon
     return nrm + cfg.epsilon
 
 
-def nlms_transfer(z: np.ndarray, cfg: LocalizerConfig) -> np.ndarray:
-    """N x N matrix A with a_hat_L(d) = A d for every scan vector d.
+def nlms_adapt(z: np.ndarray, basis: np.ndarray, cfg: LocalizerConfig) -> np.ndarray:
+    """X with a_hat_L(d) = X c for every scan vector d = B c (basis B, N x M).
 
     From a_hat = 0 the recursion of nlms_run is linear in d: with
     c_l = mu / _step_denominator(z_l), one snapshot maps a_hat to
-    a_hat + c_l z_l z_l^H (d - a_hat). Running it once on the identity gives
-    A <- A + c_l z_l (z_l^H - z_l^H A), so scanning any number of angles
-    costs one matmul A @ D after L rank-1 updates of an N x N matrix.
+    a_hat + c_l z_l z_l^H (d - a_hat). Run on the columns of B, that is
+    X <- X + c_l z_l (z_l^H B - z_l^H X), N x M work per snapshot.
     """
     z = np.asarray(z, dtype=complex)
-    n = z.shape[0]
-    a = np.zeros((n, n), dtype=complex)
-    row = np.empty(n, dtype=complex)
-    upd = np.empty((n, n), dtype=complex)
     zh = z.conj().T  # row l is z_l^H
+    zhb = zh @ basis  # row l is z_l^H B
+    steps = cfg.mu / _step_denominator(z, cfg, axis=0)
+    x = np.zeros((z.shape[0], basis.shape[1]), dtype=complex)
+    row = np.empty(basis.shape[1], dtype=complex)
+    upd = np.empty_like(x)
     for ell in range(z.shape[1]):
-        np.matmul(zh[ell], a, out=row)
-        np.subtract(zh[ell], row, out=row)
-        row *= cfg.mu / _step_denominator(z[:, ell], cfg)
+        np.matmul(zh[ell], x, out=row)
+        np.subtract(zhb[ell], row, out=row)
+        row *= steps[ell]
         np.multiply(z[:, ell, None], row, out=upd)
-        a += upd
-    return a
+        x += upd
+    return x
 
 
-def _scan_result(z: np.ndarray, d: np.ndarray, cfg: LocalizerConfig) -> SpectrumResult:
-    """NLMS spectrum of snapshots z (N x L) against scan vectors d (N x grid).
+def _scan_result(z, basis, coeff, cfg: LocalizerConfig) -> SpectrumResult:
+    """NLMS spectrum of snapshots z (N x L) against scan vectors D = B C.
 
-    P(theta) = ||a_hat_L(theta)||^2 with a_hat = A D (see nlms_transfer),
+    P(theta) = ||a_hat_L(theta)||^2 = ||X c(theta)||^2 with X = nlms_adapt(z, B),
     normalized to its maximum, with peaks above cfg.threshold. An all-zero
     spectrum is reported as degenerate.
     """
-    power = np.sum(np.abs(nlms_transfer(z, cfg) @ d) ** 2, axis=0)
+    power = np.sum(np.abs(nlms_adapt(z, basis, cfg) @ coeff) ** 2, axis=0)
     peak = power.max() if power.size else 0.0
     if peak <= 0.0:
         return SpectrumResult(cfg.grid, power, np.zeros_like(power), [],
@@ -154,31 +174,26 @@ def spectrum(data: BeamformedData, cfg: LocalizerConfig, phases: PhaseShiftMatri
     """P(theta) = ||a_hat_L(theta)||^2 over the grid, normalized, with peaks.
 
     Starting from a_hat = 0, the NLMS estimate after L snapshots is linear in
-    the scan vector: a_hat_L(theta) = A d(theta), with the N_epoch x N_epoch
-    transfer matrix A of nlms_transfer. So the whole grid is a_hat = A D for
-    the scan matrix D = V diag(b) [a(theta_1) ... a(theta_G)], which equals
-    running nlms_run once per angle.
+    the scan vector, and every scan vector d(theta) = V diag(b) a(theta) is
+    B c(theta) for the factors of _scan_factors. So the whole grid is
+    X C with X = nlms_adapt(z, B), which equals running nlms_run once per angle.
     """
-    return _scan_result(data.z, _scan_matrix(cfg, phases, ris, aod_ris_pr), cfg)
+    basis, coeff = _scan_factors(phases, ris, aod_ris_pr, cfg.grid, cfg.include_b)
+    return _scan_result(data.z, basis, coeff, cfg)
 
 
 def _peak_indices(values: np.ndarray, phi: float = -np.inf) -> list:
     """Indices of strict local maxima above phi; endpoints excluded; on a
-    plateau the leftmost sample wins."""
-    values = np.asarray(values)
-    n = values.size
-    out = []
-    i = 1
-    while i < n - 1:
-        j = i
-        while j + 1 < n and values[j + 1] == values[i]:
-            j += 1
-        if (j + 1 < n and values[i] > phi
-                and values[i] > values[i - 1]
-                and values[i] > values[j + 1]):
-            out.append(i)
-        i = j + 1
-    return out
+    plateau the leftmost sample wins. A run of equal samples (NaN is a run of
+    its own) that rises from the run before and falls to the run after is a
+    peak at its first index."""
+    v = np.asarray(values)
+    if v.size < 3:
+        return []
+    starts = np.flatnonzero(np.r_[True, v[1:] != v[:-1]])
+    runs = v[starts]
+    keep = (runs[1:-1] > runs[:-2]) & (runs[1:-1] > runs[2:]) & (runs[1:-1] > phi)
+    return starts[1:-1][keep].tolist()
 
 
 def detect_peaks(normalized: np.ndarray, grid: np.ndarray, phi: float) -> list:

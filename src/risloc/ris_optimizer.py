@@ -78,6 +78,9 @@ def _chirp_columns(m_elements: int, n_epoch: int, rng: np.random.Generator) -> n
     return np.stack(cols[:n_epoch], axis=1)
 
 
+RIS_INITS = ("gaussian", "chirp")
+
+
 def solve_phase_shifts(a_tilde: np.ndarray, n_epoch: int, rng: np.random.Generator,
                        init: str = "gaussian", refine_rounds: int = 1) -> PhaseShiftMatrix:
     """Random phase rows projected away from the leakage signature a_tilde.

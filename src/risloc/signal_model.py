@@ -140,6 +140,9 @@ def rician_channel(spec: ArraySpec, los_angle_deg: float, kappa: float,
     return np.sqrt(kappa / (1.0 + kappa)) * los + np.sqrt(1.0 / (1.0 + kappa)) * nlos
 
 
+WAVEFORM_KINDS = ("gaussian", "qpsk")
+
+
 def generate_waveform(length: int, rng: np.random.Generator,
                       kind: str = "gaussian") -> Waveform:
     """Unit-power probing sequence; circular complex Gaussian or QPSK."""

@@ -9,7 +9,8 @@ from risloc import (MISS_ERROR_DEG, ArraySpec, BeamformedData, LocalizerConfig,
                     SpectrumResult, music_estimate,
                     no_ris_localize, select_estimates, steering_vector,
                     trial_error)
-from risloc.localizer import scan_vector
+from risloc.benchmarks import _music_denominator
+from risloc.localizer import _scan_factors, scan_vector
 from risloc.ris_optimizer import PhaseShiftMatrix
 
 
@@ -95,6 +96,28 @@ def test_music_agrees_with_principal_direction_search():
         u = scan_vector(theta, phases, ris, 20.0)
         scores.append(abs(np.vdot(u / np.linalg.norm(u), principal)))
     assert got == [GRID[int(np.argmax(scores))]]
+
+
+@given(n=st.integers(2, 12), m=st.integers(1, 8), k=st.integers(1, 11),
+       grid=st.lists(st.floats(-89.0, 89.0), min_size=1, max_size=15, unique=True),
+       aod=st.floats(-60.0, 60.0), include_b=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_factored_music_denominator_equals_explicit_form(n, m, k, grid, aod,
+                                                        include_b, seed):
+    # N up to 12 against M up to 8 draws both the RIS basis (N > M) and B = I
+    k = min(k, n - 1)
+    grid = sorted(grid)
+    ris = ArraySpec(m)
+    phases = unit_phases(seed, n, m)
+    r = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(r.standard_normal((n, n)) + 1j * r.standard_normal((n, n)))
+    noise_sub = q[:, : n - k]
+    d = np.stack([scan_vector(t, phases, ris, aod, include_b) for t in grid], axis=1)
+    d = d / np.linalg.norm(d, axis=0)
+    ref = np.sum(np.abs(noise_sub.conj().T @ d) ** 2, axis=0)
+    got = _music_denominator(noise_sub, *_scan_factors(phases, ris, aod, grid, include_b))
+    assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(ref)
 
 
 # ------------------------------------------------------------------ no-RIS

@@ -127,7 +127,9 @@ def test_unknown_config_keys_fail_at_load(tmp_path):
             ({"scene": dict(scene, gain_ap_ris={"dB": -20.0})}, "gain_ap_ris"),
             ({"scene": dict(scene, gain_targets=[0.1])}, "per-target lists"),
             ({"methods": ["nlms_ris", "musik_ris"]}, "unknown methods: musik_ris"),
-            ({"methods": []}, "methods must be non-empty")):
+            ({"methods": []}, "methods must be non-empty"),
+            ({"waveform_kind": "gausian"}, "unknown waveform_kind: gausian"),
+            ({"ris_init": "chrip"}, "unknown ris_init: chrip")):
         path.write_text(yaml.safe_dump(tiny_config_dict(**overrides)))
         with pytest.raises(ValueError, match=f"misspelt.yaml: .*{match}"):
             load_config(path)

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from risloc import (ArraySpec, BeamformedData, LocalizerConfig, default_grid,
                     detect_peaks, nlms_run, no_ris_localize, scan_vector, spectrum,
                     steering_vector)
-from risloc.localizer import _step_denominator
+from risloc.localizer import _peak_indices, _scan_coefficients, _step_denominator
 from risloc.ris_optimizer import PhaseShiftMatrix
 
 
@@ -215,6 +215,26 @@ def test_no_ris_equals_per_angle_runs_property(n, n_samples, grid, mu, textbook,
     assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(ref)
 
 
+def test_cached_coefficients_are_keyed_on_values(rng):
+    # same-size grids with different angles, and two taper angles, must each
+    # get their own dictionary; N_epoch > M, so the scan runs in the RIS basis
+    ris = ArraySpec(4)
+    phases = unit_phases(14, 7, 4)
+    data = BeamformedData(rng.standard_normal((7, 25))
+                          + 1j * rng.standard_normal((7, 25)))
+    for grid, aod in (([-30.0, 0.0, 30.0], 20.0), ([-20.0, 5.0, 40.0], 20.0),
+                      ([-20.0, 5.0, 40.0], -35.0)):
+        cfg = LocalizerConfig(mu=0.3, grid=grid)
+        got = spectrum(data, cfg, phases, ris, aod).power
+        ref = [np.sum(np.abs(nlms_run(data, t, cfg, phases, ris, aod)) ** 2)
+               for t in cfg.grid]
+        np.testing.assert_allclose(got, ref, rtol=1e-10)
+    cached = _scan_coefficients(ris, [-20.0, 5.0, 40.0], -35.0, include_b=True)
+    assert cached is _scan_coefficients(ris, np.array([-20.0, 5.0, 40.0]), -35.0, True)
+    with pytest.raises(ValueError, match="read-only"):
+        cached[0, 0] = 0.0
+
+
 def test_noiseless_single_source_dominates(rng):
     ris = ArraySpec(32)
     phases = unit_phases(7, 48, 32)
@@ -344,3 +364,35 @@ def test_detect_peaks_monotone_in_threshold(values, phi_a, phi_b):
     grid = np.arange(float(vals.size))
     lo, hi = sorted((phi_a, phi_b))
     assert set(detect_peaks(vals, grid, hi)) <= set(detect_peaks(vals, grid, lo))
+
+
+def _peak_indices_loop(values, phi=-np.inf):
+    """Reference scan: walk each plateau, keep its first index if it rises
+    above both neighbours and phi and touches neither end."""
+    values = np.asarray(values)
+    n = values.size
+    out = []
+    i = 1
+    while i < n - 1:
+        j = i
+        while j + 1 < n and values[j + 1] == values[i]:
+            j += 1
+        if (j + 1 < n and values[i] > phi
+                and values[i] > values[i - 1]
+                and values[i] > values[j + 1]):
+            out.append(i)
+        i = j + 1
+    return out
+
+
+@given(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, np.nan]), max_size=30),
+       st.one_of(st.just(-np.inf), st.floats(-0.1, 1.1)))
+@settings(max_examples=300, deadline=None)
+@example([], -np.inf)
+@example([1.0], -np.inf)
+@example([0.0, 1.0], -np.inf)
+@example([0.5, 0.5, 1.0, 1.0, 0.0, 0.75, 0.75], 0.1)
+@example([0.0, np.nan, 1.0, np.nan, 0.0], -np.inf)
+def test_peak_indices_equal_the_plateau_walk(values, phi):
+    # few distinct values: plateaus, plateaus at either end, NaNs, sizes 0-2
+    assert _peak_indices(np.array(values), phi) == _peak_indices_loop(values, phi)
