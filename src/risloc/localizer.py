@@ -90,17 +90,14 @@ def _coefficients(elements, spacing, grid: bytes, aod, include_b) -> np.ndarray:
 def _scan_coefficients(spec: ArraySpec, grid, aod=0.0, include_b=False) -> np.ndarray:
     """A(grid), times the taper column a(aod) when include_b: read-only, and
     cached on values, so every trial and SNR point with the same M shares it."""
-    return _coefficients(spec.elements, spec.spacing,
-                         np.asarray(grid, dtype=float).tobytes(), aod, include_b)
+    return _coefficients(spec.elements, spec.spacing, np.asarray(grid, dtype=float).tobytes(),
+                         aod if include_b else 0.0, include_b)
 
 
 def _scan_factors(phases: PhaseShiftMatrix, ris: ArraySpec, aod_ris_pr, grid, include_b):
-    """Basis B and coefficients C of the scan matrix D = V diag(b) A(grid) = B C:
-    B = V (N_epoch x M), or B = I and C = D when N_epoch <= M."""
-    v, coeff = phases.matrix, _scan_coefficients(ris, grid, aod_ris_pr, include_b)
-    if v.shape[0] <= v.shape[1]:
-        return np.eye(v.shape[0]), v @ coeff
-    return v, coeff
+    """Basis B = V (N_epoch x M) and coefficients C of the scan matrix
+    D = V diag(b) A(grid) = B C."""
+    return phases.matrix, _scan_coefficients(ris, grid, aod_ris_pr, include_b)
 
 
 def _step_denominator(z: np.ndarray, cfg: LocalizerConfig, axis=None):

@@ -105,7 +105,7 @@ def test_music_agrees_with_principal_direction_search():
 @settings(max_examples=150, deadline=None)
 def test_factored_music_denominator_equals_explicit_form(n, m, k, grid, aod,
                                                         include_b, seed):
-    # N up to 12 against M up to 8 draws both the RIS basis (N > M) and B = I
+    # N up to 12 against M up to 8 draws both N > M and N <= M for the basis B = V
     k = min(k, n - 1)
     grid = sorted(grid)
     ris = ArraySpec(m)

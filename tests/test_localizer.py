@@ -217,7 +217,7 @@ def test_no_ris_equals_per_angle_runs_property(n, n_samples, grid, mu, textbook,
 
 def test_cached_coefficients_are_keyed_on_values(rng):
     # same-size grids with different angles, and two taper angles, must each
-    # get their own dictionary; N_epoch > M, so the scan runs in the RIS basis
+    # get their own dictionary; without the taper, aod is not part of the key
     ris = ArraySpec(4)
     phases = unit_phases(14, 7, 4)
     data = BeamformedData(rng.standard_normal((7, 25))
@@ -233,6 +233,8 @@ def test_cached_coefficients_are_keyed_on_values(rng):
     assert cached is _scan_coefficients(ris, np.array([-20.0, 5.0, 40.0]), -35.0, True)
     with pytest.raises(ValueError, match="read-only"):
         cached[0, 0] = 0.0
+    untapered = _scan_coefficients(ris, [-20.0, 5.0, 40.0], 20.0, include_b=False)
+    assert untapered is _scan_coefficients(ris, [-20.0, 5.0, 40.0], -35.0, include_b=False)
 
 
 def test_noiseless_single_source_dominates(rng):
