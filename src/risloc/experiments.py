@@ -21,8 +21,8 @@ from .pr_beamformer import BeamformedData, matched_weight
 from .ris_optimizer import (RIS_INITS, PhaseShiftMatrix, beampattern, solve_phase_shifts,
                             suppression_target)
 from .signal_model import (WAVEFORM_KINDS, ArraySpec, NoiseModel, SceneConfig, Waveform,
-                           complex_normal, generate_waveform, pr_received, rician_channel,
-                           ris_incident, steering_vector)
+                           complex_normal, generate_waveform, pr_received, ris_incident,
+                           steering_matrix, steering_vector)
 
 TRIALS_CSV_HEADER = "trial,method,snr_db,m_elements,mse_deg2,detected_count,flagged"
 
@@ -91,6 +91,12 @@ class ExperimentConfig:
         _reject_unknown("methods", self.methods, METHODS)
         _reject_unknown("waveform_kind", [self.waveform_kind], WAVEFORM_KINDS)
         _reject_unknown("ris_init", [self.ris_init], RIS_INITS)
+        if self.m_sweep is not None and not (
+                isinstance(self.m_sweep, (list, tuple)) and self.m_sweep
+                and all(isinstance(m, (int, np.integer)) and not isinstance(m, bool) and m >= 1
+                        for m in self.m_sweep)):
+            raise ValueError("m_sweep must be null or a non-empty list of integers >= 1, "
+                             f"got {self.m_sweep!r}")
 
     def make_scene(self, rng: Optional[np.random.Generator] = None) -> SceneConfig:
         """The scene: block as a SceneConfig. Entries are parsed in field order,
@@ -177,24 +183,28 @@ def beamformed_epochs(scene: SceneConfig, waveform: Waveform, phases: PhaseShift
                       rng: np.random.Generator):
     """Noise-free beamformed epochs Z0 (N_epoch x L) and mean |x_n(t)|^2.
 
-    Row n is w^H Y_n of a noise-free pr_received epoch. Each nonzero direct
-    path is drawn with rician_channel in pr_received's order and only w^H h
-    is kept, so on the same rng state Z0 equals
+    Row n is w^H Y_n of a noise-free pr_received epoch. The P nonzero direct
+    paths, in pr_received's order (AP, then targets), take the fading of all
+    epochs from one (N_epoch, P, 2, N_PR) standard-normal draw, real then
+    imaginary parts. Generator draws do not depend on how they are chunked, so
+    this consumes the stream of the N_epoch * P rician_channel calls exactly,
+    and on the same rng state Z0 equals
     beamform(simulate_epochs(..., NoiseModel(0.0), rng), w).z. White noise of
     variance sigma^2 at the PR adds sigma * ||w|| * CN(0, 1) to each entry.
     """
     incident = ris_incident(scene, waveform, ris)
     b = steering_vector(ris, scene.aod_ris_pr)
     x = (phases.matrix * b) @ incident  # N_epoch x L
-    direct = [(scene.gain_ap_pr, scene.aoa_ap_pr, scene.rician_ap_pr),
-              *zip(scene.gain_targets_pr, scene.target_aoas_pr, scene.rician_targets_pr)]
-    gain_dir = np.zeros(phases.n_epoch, dtype=complex)
-    for n in range(phases.n_epoch):
-        acc = 0.0 + 0.0j
-        for gain, aoa, kappa in direct:
-            if gain != 0:
-                acc += gain * np.vdot(w, rician_channel(pr, aoa, kappa, rng))
-        gain_dir[n] = acc
+    direct = np.array([(scene.gain_ap_pr, scene.aoa_ap_pr, scene.rician_ap_pr),
+                       *zip(scene.gain_targets_pr, scene.target_aoas_pr,
+                            scene.rician_targets_pr)], dtype=complex)
+    direct = direct[direct[:, 0] != 0]  # P x (gain, aoa, kappa)
+    kappa = direct[:, 2, None].real
+    g = rng.standard_normal((phases.n_epoch, len(direct), 2, pr.elements))
+    nlos = (g[..., 0, :] + 1j * g[..., 1, :]) / np.sqrt(2.0)
+    h = (np.sqrt(kappa / (1.0 + kappa)) * steering_matrix(pr, direct[:, 1].real).T
+         + np.sqrt(1.0 / (1.0 + kappa)) * nlos)  # N_epoch x P x N_PR
+    gain_dir = (h @ w.conj()) @ direct[:, 0]
     wa = np.vdot(w, steering_vector(pr, scene.aoa_ris_pr))
     z0 = scene.gain_ris_pr * wa * x + np.outer(gain_dir, waveform.samples)
     return z0, float(np.mean(np.abs(x) ** 2))

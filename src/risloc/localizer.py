@@ -113,22 +113,22 @@ def nlms_adapt(z: np.ndarray, basis: np.ndarray, cfg: LocalizerConfig) -> np.nda
     From a_hat = 0 the recursion of nlms_run is linear in d: with
     c_l = mu / _step_denominator(z_l), one snapshot maps a_hat to
     a_hat + c_l z_l z_l^H (d - a_hat). Run on the columns of B, that is
-    X <- X + c_l z_l (z_l^H B - z_l^H X), N x M work per snapshot.
+    X <- X + c_l z_l (z_l^H B - z_l^H X). Every update adds a multiple of z_l,
+    so X = Z Y (the compact WY form of the product of rank-one steps), and as
+    z_l^H X = sum_{j<l} (z_l^H z_j) y_j before step l, the rows of Y follow by
+    forward substitution: y_l = c_l (z_l^H B - G[l, :l] Y[:l]) with the Gram
+    matrix G = Z^H Z, l x M work per snapshot. Nothing divides by mu, so
+    mu = 0 gives X = 0 exactly.
     """
     z = np.asarray(z, dtype=complex)
     zh = z.conj().T  # row l is z_l^H
-    zhb = zh @ basis  # row l is z_l^H B
+    gram = zh @ z
+    y = zh @ basis  # row l is z_l^H B, overwritten by y_l
     steps = cfg.mu / _step_denominator(z, cfg, axis=0)
-    x = np.zeros((z.shape[0], basis.shape[1]), dtype=complex)
-    row = np.empty(basis.shape[1], dtype=complex)
-    upd = np.empty_like(x)
     for ell in range(z.shape[1]):
-        np.matmul(zh[ell], x, out=row)
-        np.subtract(zhb[ell], row, out=row)
-        row *= steps[ell]
-        np.multiply(z[:, ell, None], row, out=upd)
-        x += upd
-    return x
+        y[ell] -= gram[ell, :ell] @ y[:ell]
+        y[ell] *= steps[ell]
+    return z @ y
 
 
 def _scan_result(z, basis, coeff, cfg: LocalizerConfig) -> SpectrumResult:

@@ -129,7 +129,10 @@ def test_unknown_config_keys_fail_at_load(tmp_path):
             ({"methods": ["nlms_ris", "musik_ris"]}, "unknown methods: musik_ris"),
             ({"methods": []}, "methods must be non-empty"),
             ({"waveform_kind": "gausian"}, "unknown waveform_kind: gausian"),
-            ({"ris_init": "chrip"}, "unknown ris_init: chrip")):
+            ({"ris_init": "chrip"}, "unknown ris_init: chrip"),
+            ({"m_sweep": [16, 0]}, "m_sweep"),
+            ({"m_sweep": [16, 2.5]}, "m_sweep"),
+            ({"m_sweep": []}, "m_sweep")):
         path.write_text(yaml.safe_dump(tiny_config_dict(**overrides)))
         with pytest.raises(ValueError, match=f"misspelt.yaml: .*{match}"):
             load_config(path)

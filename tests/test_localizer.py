@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from risloc import (ArraySpec, BeamformedData, LocalizerConfig, default_grid,
                     detect_peaks, nlms_run, no_ris_localize, scan_vector, spectrum,
                     steering_vector)
-from risloc.localizer import _peak_indices, _scan_coefficients, _step_denominator
+from risloc.localizer import _peak_indices, _scan_coefficients, _step_denominator, nlms_adapt
 from risloc.ris_optimizer import PhaseShiftMatrix
 
 
@@ -213,6 +213,30 @@ def test_no_ris_equals_per_angle_runs_property(n, n_samples, grid, mu, textbook,
     ref = np.array(ref)
     got = no_ris_localize(y, cfg, pr).power
     assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(ref)
+
+
+@given(n=st.integers(1, 12), m=st.integers(1, 8), n_samples=st.integers(1, 40),
+       mu=st.floats(0.5, 1.0), textbook=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@example(n=12, m=8, n_samples=40, mu=1.0, textbook=False, seed=2)  # the largest steps
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_extended_precision_recursion(n, m, n_samples, mu, textbook, seed):
+    # mu >= 0.5 with the plain norm makes step factors mu*||z_l|| up to ~6, where
+    # the recursion diverges and the rounding of the kernel's form shows; the
+    # reference is the recursion X <- X + c_l z_l (z_l^H B - z_l^H X) in
+    # clongdouble (plain double on platforms without extended precision)
+    cfg = LocalizerConfig(mu=mu, textbook_norm=textbook)
+    z = _random_snapshots(seed, n, n_samples)
+    basis = unit_phases(seed, n, m).matrix
+    zl, bl = z.astype(np.clongdouble), basis.astype(np.clongdouble)
+    x = np.zeros((n, m), dtype=np.clongdouble)
+    for ell in range(n_samples):
+        nrm = np.sqrt(np.sum(np.abs(zl[:, ell]) ** 2))
+        den = (nrm * nrm if textbook else nrm) + np.longdouble(cfg.epsilon)
+        step = np.longdouble(mu) / den
+        x = x + step * np.outer(zl[:, ell], zl[:, ell].conj() @ (bl - x))
+    ref = x.astype(complex)
+    got = nlms_adapt(z, basis, cfg)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_cached_coefficients_are_keyed_on_values(rng):
