@@ -4,13 +4,12 @@ baseline, and the per-trial squared error."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
 
 from .localizer import (LocalizerConfig, SpectrumResult, _peak_indices, _scan_coefficients,
-                        _scan_factors, _scan_result)
+                        _scan_result)
 from .pr_beamformer import BeamformedData
 from .ris_optimizer import PhaseShiftMatrix
 from .signal_model import ArraySpec
@@ -18,29 +17,16 @@ from .signal_model import ArraySpec
 MISS_ERROR_DEG = 90.0  # worst-case padding for missing detections
 
 
-@dataclass
-class TrialReport:
-    true_aoas: List[float]
-    estimated_aoas: List[float]
-    mse: float
-    detected_count: int
-    snr_db: float
-    method: str
-    m_elements: int = 0
-    trial: int = 0
-    flagged: bool = False
-
-
-def music_estimate(data: BeamformedData, k_true: int, grid,
-                   phases: PhaseShiftMatrix, ris: ArraySpec, aod_ris_pr: float,
-                   include_b: bool = True) -> List[float]:
-    """Subspace estimates of the k_true RIS-side angles.
+def music_estimate(data: BeamformedData, k_true: int, cfg: LocalizerConfig,
+                   phases: PhaseShiftMatrix, ris: ArraySpec,
+                   aod_ris_pr: float) -> List[float]:
+    """Subspace estimates of the k_true RIS-side angles on cfg.grid.
 
     Sample covariance of the beamformed epochs, noise subspace from the
-    smallest eigenvalues, pseudospectrum against unit-norm scan vectors,
-    k_true largest local maxima. If the pseudospectrum has fewer interior
-    maxima than k_true (degenerate inputs), the largest remaining grid values
-    fill in.
+    smallest eigenvalues, pseudospectrum against unit-norm scan vectors (the
+    scan vectors of spectrum, with the taper when cfg.include_b), k_true
+    largest local maxima. If the pseudospectrum has fewer interior maxima than
+    k_true (degenerate inputs), the largest remaining grid values fill in.
     """
     if not 1 <= k_true < data.n_epoch:
         raise ValueError(f"k_true must satisfy 1 <= k_true < n_epoch, got {k_true}")
@@ -49,15 +35,14 @@ def music_estimate(data: BeamformedData, k_true: int, grid,
     r = r + 1e-10 * np.trace(r).real / data.n_epoch * np.eye(data.n_epoch)
     _, vecs = np.linalg.eigh(r)  # ascending eigenvalues
     noise_sub = vecs[:, : data.n_epoch - k_true]
-    grid = LocalizerConfig(grid=grid).grid  # checked as a scan grid
-    basis, coeff = _scan_factors(phases, ris, aod_ris_pr, grid, include_b)
-    pseudo = 1.0 / np.maximum(_music_denominator(noise_sub, basis, coeff), 1e-300)
+    coeff = _scan_coefficients(ris, cfg.grid, aod_ris_pr, cfg.include_b)
+    pseudo = 1.0 / np.maximum(_music_denominator(noise_sub, phases.matrix, coeff), 1e-300)
     order = sorted(_peak_indices(pseudo), key=lambda i: -pseudo[i])
     picked = order[:k_true]
     if len(picked) < k_true:
         rest = [i for i in np.argsort(-pseudo) if i not in picked]
         picked.extend(rest[: k_true - len(picked)])
-    return sorted(float(grid[i]) for i in picked)
+    return sorted(float(cfg.grid[i]) for i in picked)
 
 
 def _music_denominator(noise_sub: np.ndarray, basis: np.ndarray,

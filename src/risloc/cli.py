@@ -8,6 +8,13 @@ from typing import Optional, Sequence
 from .experiments import load_config, run_beampattern, run_mse_sweep, run_spectrum
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="risloc",
@@ -25,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("mse-sweep", help="Monte-Carlo MSE vs SNR sweep")
     common(p_sweep)
-    p_sweep.add_argument("--parallel", type=int, default=1,
+    p_sweep.add_argument("--parallel", type=positive_int, default=1,
                          help="worker processes (1 = serial)")
 
     p_beam = sub.add_parser("beampattern", help="beampattern per AP placement")

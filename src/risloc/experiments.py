@@ -8,6 +8,7 @@ import dataclasses
 import itertools
 import json
 import os
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
@@ -15,14 +16,13 @@ from typing import List, Optional, Sequence
 import numpy as np
 import yaml
 
-from .benchmarks import TrialReport, music_estimate, no_ris_localize, select_estimates, trial_error
+from .benchmarks import music_estimate, no_ris_localize, select_estimates, trial_error
 from .localizer import LocalizerConfig, SpectrumResult, default_grid, spectrum
 from .pr_beamformer import BeamformedData, matched_weight
 from .ris_optimizer import (RIS_INITS, PhaseShiftMatrix, beampattern, solve_phase_shifts,
                             suppression_target)
-from .signal_model import (WAVEFORM_KINDS, ArraySpec, NoiseModel, SceneConfig, Waveform,
-                           complex_normal, generate_waveform, pr_received, ris_incident,
-                           steering_matrix, steering_vector)
+from .signal_model import (WAVEFORM_KINDS, ArraySpec, SceneConfig, Waveform, complex_normal,
+                           generate_waveform, ris_incident, steering_matrix, steering_vector)
 
 TRIALS_CSV_HEADER = "trial,method,snr_db,m_elements,mse_deg2,detected_count,flagged"
 
@@ -110,7 +110,10 @@ def _parse_grid(spec) -> np.ndarray:
     if spec is None:
         return default_grid()
     if isinstance(spec, dict):
+        _reject_unknown("grid keys", spec, ("start", "stop", "step"))
         start, stop, step = float(spec["start"]), float(spec["stop"]), float(spec["step"])
+        if not step > 0:
+            raise ValueError(f"grid step must be > 0, got {step}")
         return np.round(np.arange(start, stop + step / 2, step), 6)
     return np.asarray(spec, dtype=float)
 
@@ -178,36 +181,59 @@ def build_phases(cfg: ExperimentConfig, scene: SceneConfig, ris: ArraySpec,
                               init=cfg.ris_init, refine_rounds=cfg.refine_rounds)
 
 
-def beamformed_epochs(scene: SceneConfig, waveform: Waveform, phases: PhaseShiftMatrix,
-                      ris: ArraySpec, pr: ArraySpec, w: np.ndarray,
-                      rng: np.random.Generator):
-    """Noise-free beamformed epochs Z0 (N_epoch x L) and mean |x_n(t)|^2.
+def _direct_fading(scene: SceneConfig, pr: ArraySpec, n_epoch: int,
+                   rng: np.random.Generator):
+    """Gains (P,) and Rician channels h (n_epoch x P x N_PR) of the P nonzero
+    direct paths, in pr_received's order (AP, then targets).
 
-    Row n is w^H Y_n of a noise-free pr_received epoch. The P nonzero direct
-    paths, in pr_received's order (AP, then targets), take the fading of all
-    epochs from one (N_epoch, P, 2, N_PR) standard-normal draw, real then
-    imaginary parts. Generator draws do not depend on how they are chunked, so
-    this consumes the stream of the N_epoch * P rician_channel calls exactly,
-    and on the same rng state Z0 equals
-    beamform(simulate_epochs(..., NoiseModel(0.0), rng), w).z. White noise of
-    variance sigma^2 at the PR adds sigma * ||w|| * CN(0, 1) to each entry.
+    The scattered parts of all epochs come from one (n_epoch, P, 2, N_PR)
+    standard-normal draw, real then imaginary parts. Generator draws do not
+    depend on how they are chunked, so this consumes the stream of the
+    n_epoch * P rician_channel calls of pr_received exactly.
     """
-    incident = ris_incident(scene, waveform, ris)
-    b = steering_vector(ris, scene.aod_ris_pr)
-    x = (phases.matrix * b) @ incident  # N_epoch x L
     direct = np.array([(scene.gain_ap_pr, scene.aoa_ap_pr, scene.rician_ap_pr),
                        *zip(scene.gain_targets_pr, scene.target_aoas_pr,
                             scene.rician_targets_pr)], dtype=complex)
     direct = direct[direct[:, 0] != 0]  # P x (gain, aoa, kappa)
     kappa = direct[:, 2, None].real
-    g = rng.standard_normal((phases.n_epoch, len(direct), 2, pr.elements))
+    g = rng.standard_normal((n_epoch, len(direct), 2, pr.elements))
     nlos = (g[..., 0, :] + 1j * g[..., 1, :]) / np.sqrt(2.0)
     h = (np.sqrt(kappa / (1.0 + kappa)) * steering_matrix(pr, direct[:, 1].real).T
-         + np.sqrt(1.0 / (1.0 + kappa)) * nlos)  # N_epoch x P x N_PR
-    gain_dir = (h @ w.conj()) @ direct[:, 0]
+         + np.sqrt(1.0 / (1.0 + kappa)) * nlos)
+    return direct[:, 0], h
+
+
+def beamformed_epochs(scene: SceneConfig, waveform: Waveform, phases: PhaseShiftMatrix,
+                      ris: ArraySpec, pr: ArraySpec, w: np.ndarray,
+                      rng: np.random.Generator):
+    """Noise-free beamformed epochs Z0 (N_epoch x L) and mean |x_n(t)|^2.
+
+    Row n is w^H Y_n of a noise-free pr_received epoch, with the direct-path
+    fading of all epochs from one _direct_fading draw, so on the same rng
+    state Z0 equals beamform(simulate_epochs(..., NoiseModel(0.0), rng), w).z.
+    White noise of variance sigma^2 at the PR adds sigma * ||w|| * CN(0, 1) to
+    each entry.
+    """
+    incident = ris_incident(scene, waveform, ris)
+    b = steering_vector(ris, scene.aod_ris_pr)
+    x = (phases.matrix * b) @ incident  # N_epoch x L
+    gains, h = _direct_fading(scene, pr, phases.n_epoch, rng)
+    gain_dir = (h @ w.conj()) @ gains
     wa = np.vdot(w, steering_vector(pr, scene.aoa_ris_pr))
     z0 = scene.gain_ris_pr * wa * x + np.outer(gain_dir, waveform.samples)
     return z0, float(np.mean(np.abs(x) ** 2))
+
+
+def _no_ris_epoch(scene: SceneConfig, waveform: Waveform, pr: ArraySpec,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Noise-free N_PR x L epoch of the direct paths alone: the scene with the
+    RIS absent. Summed path by path in pr_received's order, so on the same rng
+    state it equals pr_received(scene, waveform, np.zeros(L), pr,
+    NoiseModel(0.0), rng) bit for bit."""
+    gains, h = _direct_fading(scene, pr, 1, rng)
+    s = waveform.samples
+    return sum((g * np.outer(h_p, s) for g, h_p in zip(gains, h[0])),
+               np.zeros((pr.elements, s.size), dtype=complex))
 
 
 def noise_variance_for_snr(scene: SceneConfig, x_power: float, snr_db: float) -> float:
@@ -259,7 +285,9 @@ def run_spectrum(cfg: ExperimentConfig, seed: Optional[int] = None,
 # ---------------------------------------------------------------- MSE sweep
 
 def _sweep_trial(cfg: ExperimentConfig, m_index: int, m_elements: int,
-                 trial: int) -> List[TrialReport]:
+                 trial: int) -> List[tuple]:
+    """One trial at every SNR point and method, as trials.csv rows
+    (TRIALS_CSV_HEADER order)."""
     rng = trial_rng(cfg.seed, m_index, trial)
     scene = cfg.make_scene(rng)
     ris = ArraySpec(m_elements, cfg.ris.spacing)
@@ -267,44 +295,32 @@ def _sweep_trial(cfg: ExperimentConfig, m_index: int, m_elements: int,
     waveform = generate_waveform(cfg.n_samples, rng, cfg.waveform_kind)
     w = matched_weight(cfg.pr, scene.aoa_ris_pr)
     z0, x_power = beamformed_epochs(scene, waveform, phases, ris, cfg.pr, w, rng)
-    # the baseline observes the same scene with the RIS absent
-    y0_nr = pr_received(scene, waveform, np.zeros(cfg.n_samples), cfg.pr,
-                        NoiseModel(0.0), rng)
+    y0_nr = _no_ris_epoch(scene, waveform, cfg.pr, rng)
     # unit noise drawn once, so every SNR point rescales the same draws
     ez = complex_normal(z0.shape, rng)
     e1 = complex_normal(y0_nr.shape, rng)
     w_norm = np.linalg.norm(w)
 
     k = scene.n_targets
-    truths_ris = list(scene.target_aoas_ris)
-    truths_pr = list(scene.target_aoas_pr)
-    reports = []
+    rows = []
     for snr_db in cfg.snr_sweep_db:
-        variance = noise_variance_for_snr(scene, x_power, snr_db)
-        sigma = np.sqrt(variance)
+        sigma = np.sqrt(noise_variance_for_snr(scene, x_power, snr_db))
         data = BeamformedData(z0 + sigma * w_norm * ez)
         for method in cfg.methods:
+            truths = scene.target_aoas_ris
             if method == "nlms_ris":
                 res = spectrum(data, cfg.localizer, phases, ris, scene.aod_ris_pr)
-                est = select_estimates(res, k)
-                mse, flagged = trial_error(truths_ris, est)
-                detected = res.k_hat
+                est, detected = select_estimates(res, k), res.k_hat
             elif method == "music_ris":
-                est = music_estimate(data, k, cfg.localizer.grid, phases, ris,
-                                     scene.aod_ris_pr, cfg.localizer.include_b)
-                mse, flagged = trial_error(truths_ris, est)
+                est = music_estimate(data, k, cfg.localizer, phases, ris, scene.aod_ris_pr)
                 detected = len(est)
             else:  # nlms_no_ris
                 res = no_ris_localize(y0_nr + sigma * e1, cfg.localizer, cfg.pr)
-                est = select_estimates(res, k)
-                mse, flagged = trial_error(truths_pr, est)
-                detected = res.k_hat
-            reports.append(TrialReport(
-                true_aoas=truths_pr if method == "nlms_no_ris" else truths_ris,
-                estimated_aoas=list(est), mse=mse, detected_count=detected,
-                snr_db=float(snr_db), method=method, m_elements=m_elements,
-                trial=trial, flagged=flagged))
-    return reports
+                est, detected = select_estimates(res, k), res.k_hat
+                truths = scene.target_aoas_pr
+            mse, flagged = trial_error(truths, est)
+            rows.append((trial, method, float(snr_db), m_elements, mse, detected, flagged))
+    return rows
 
 
 def run_mse_sweep(cfg: ExperimentConfig, seed: Optional[int] = None,
@@ -327,27 +343,23 @@ def run_mse_sweep(cfg: ExperimentConfig, seed: Optional[int] = None,
                                    chunksize=4))
     else:
         chunks = [_sweep_trial(cfg, mi, m, t) for mi, m, t in jobs]
-    reports = [r for chunk in chunks for r in chunk]
 
     out = out_dir if out_dir is not None else cfg.out_dir
     os.makedirs(out, exist_ok=True)
+    cells = defaultdict(list)  # (m, method, snr_db) -> [(mse, flagged)] in trial order
     with open(os.path.join(out, "trials.csv"), "w") as fh:
         fh.write(TRIALS_CSV_HEADER + "\n")
-        for r in reports:
-            fh.write(f"{r.trial},{r.method},{r.snr_db:.10g},{r.m_elements},"
-                     f"{r.mse:.10g},{r.detected_count},{int(r.flagged)}\n")
+        for trial, method, snr_db, m, mse, detected, flagged in itertools.chain(*chunks):
+            fh.write(f"{trial},{method},{snr_db:.10g},{m},{mse:.10g},{detected},"
+                     f"{int(flagged)}\n")
+            cells[m, method, snr_db].append((mse, flagged))
 
     aggregate = []
-    for m in m_list:
-        for method in cfg.methods:
-            for snr_db in cfg.snr_sweep_db:
-                sel = [r for r in reports if r.m_elements == m
-                       and r.method == method and r.snr_db == snr_db]
-                mse = float(np.mean([r.mse for r in sel]))
-                frac = float(np.mean([r.flagged for r in sel]))
-                aggregate.append({"snr_db": float(snr_db), "method": method,
-                                  "m_elements": m, "mse_deg2": mse,
-                                  "flagged_fraction": frac})
+    for m, method, snr_db in itertools.product(m_list, cfg.methods, cfg.snr_sweep_db):
+        mse, flagged = zip(*cells[m, method, float(snr_db)])
+        aggregate.append({"snr_db": float(snr_db), "method": method, "m_elements": m,
+                          "mse_deg2": float(np.mean(mse)),
+                          "flagged_fraction": float(np.mean(flagged))})
     with open(os.path.join(out, "mse_sweep.csv"), "w") as fh:
         fh.write("snr_db,method,m_elements,mse_deg2,flagged_fraction\n")
         for row in aggregate:

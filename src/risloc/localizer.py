@@ -32,15 +32,16 @@ class LocalizerConfig:
     def __post_init__(self):
         # mu = 0 is allowed: the recursion then never updates, which is a
         # useful degenerate case for testing.
-        if self.mu < 0:
-            raise ValueError("step size mu must be non-negative")
+        if not (np.isfinite(self.mu) and self.mu >= 0):
+            raise ValueError(f"step size mu must be finite and non-negative, got {self.mu}")
         if not (0.0 < self.threshold < 1.0):
             raise ValueError("threshold must lie in (0, 1)")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
+        if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError(f"epsilon must be finite and non-negative, got {self.epsilon}")
         self.grid = np.asarray(self.grid, dtype=float)
-        if self.grid.size == 0 or np.any(np.diff(self.grid) <= 0):
-            raise ValueError("grid must be non-empty and strictly increasing")
+        if (self.grid.ndim != 1 or self.grid.size == 0
+                or np.any(np.diff(self.grid) <= 0)):
+            raise ValueError("grid must be a non-empty, strictly increasing 1-D sequence")
         bad = self.grid[~(np.abs(self.grid) < 90.0)]
         if bad.size:
             raise ValueError("grid angles must satisfy |theta| < 90 deg (steering is "
@@ -92,12 +93,6 @@ def _scan_coefficients(spec: ArraySpec, grid, aod=0.0, include_b=False) -> np.nd
     cached on values, so every trial and SNR point with the same M shares it."""
     return _coefficients(spec.elements, spec.spacing, np.asarray(grid, dtype=float).tobytes(),
                          aod if include_b else 0.0, include_b)
-
-
-def _scan_factors(phases: PhaseShiftMatrix, ris: ArraySpec, aod_ris_pr, grid, include_b):
-    """Basis B = V (N_epoch x M) and coefficients C of the scan matrix
-    D = V diag(b) A(grid) = B C."""
-    return phases.matrix, _scan_coefficients(ris, grid, aod_ris_pr, include_b)
 
 
 def _step_denominator(z: np.ndarray, cfg: LocalizerConfig, axis=None):
@@ -172,11 +167,12 @@ def spectrum(data: BeamformedData, cfg: LocalizerConfig, phases: PhaseShiftMatri
 
     Starting from a_hat = 0, the NLMS estimate after L snapshots is linear in
     the scan vector, and every scan vector d(theta) = V diag(b) a(theta) is
-    B c(theta) for the factors of _scan_factors. So the whole grid is
-    X C with X = nlms_adapt(z, B), which equals running nlms_run once per angle.
+    B c(theta) with the basis B = V (N_epoch x M) and c(theta) a column of
+    C = _scan_coefficients. So the whole grid is X C with X = nlms_adapt(z, B),
+    which equals running nlms_run once per angle.
     """
-    basis, coeff = _scan_factors(phases, ris, aod_ris_pr, cfg.grid, cfg.include_b)
-    return _scan_result(data.z, basis, coeff, cfg)
+    coeff = _scan_coefficients(ris, cfg.grid, aod_ris_pr, cfg.include_b)
+    return _scan_result(data.z, phases.matrix, coeff, cfg)
 
 
 def _peak_indices(values: np.ndarray, phi: float = -np.inf) -> list:

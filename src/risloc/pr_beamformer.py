@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal_model import ArraySpec, SnapshotTensor, steering_vector
+from .signal_model import ArraySpec, steering_vector
 
 
 @dataclass
@@ -30,11 +30,11 @@ def matched_weight(pr: ArraySpec, aoa_ris_pr: float) -> np.ndarray:
     return a / np.vdot(a, a).real
 
 
-def beamform(tensor: SnapshotTensor, w: np.ndarray) -> BeamformedData:
-    """Apply w^H to every epoch matrix, preserving epoch order."""
-    if tensor.n_epoch == 0:
-        raise ValueError("empty snapshot tensor")
-    if w.shape != (tensor.per_epoch[0].shape[0],):
+def beamform(y: np.ndarray, w: np.ndarray) -> BeamformedData:
+    """Apply w^H to every epoch of y (N_epoch x N_PR x L), preserving epoch
+    order."""
+    if y.ndim != 3 or y.shape[0] == 0:
+        raise ValueError(f"y must be a non-empty N_epoch x N_PR x L array, got {y.shape}")
+    if w.shape != (y.shape[1],):
         raise ValueError("weight length must match the PR element count")
-    rows = [w.conj() @ y_n for y_n in tensor.per_epoch]
-    return BeamformedData(np.stack(rows, axis=0))
+    return BeamformedData(w.conj() @ y)

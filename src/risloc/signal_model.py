@@ -1,9 +1,9 @@
 """Narrowband multi-hop signal model: steering vectors, Rician channels,
-waveforms, RIS incident/reflected signals and the received-data tensor."""
+waveforms, RIS incident/reflected signals and the received epochs."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -88,17 +88,6 @@ class NoiseModel:
     def __post_init__(self):
         if self.variance < 0:
             raise ValueError("noise variance must be non-negative")
-
-
-@dataclass
-class SnapshotTensor:
-    """Per-epoch received matrices Y_n (N_PR x L)."""
-
-    per_epoch: list = field(default_factory=list)
-
-    @property
-    def n_epoch(self) -> int:
-        return len(self.per_epoch)
 
 
 def steering_vector(spec: ArraySpec, angle_deg: float) -> np.ndarray:
@@ -211,11 +200,13 @@ def pr_received(scene: SceneConfig, waveform: Waveform, x_n: np.ndarray,
 
 def simulate_epochs(scene: SceneConfig, waveform: Waveform, phases,
                     pr: ArraySpec, ris: ArraySpec, noise: NoiseModel,
-                    rng: np.random.Generator) -> SnapshotTensor:
-    """Full acquisition: one incident field, then reflect + receive per epoch."""
+                    rng: np.random.Generator) -> np.ndarray:
+    """Full acquisition: one incident field, then reflect + receive per epoch.
+
+    Returns the received matrices Y_n stacked as an N_epoch x N_PR x L array.
+    """
     incident = ris_incident(scene, waveform, ris)
-    tensor = SnapshotTensor()
-    for v_n in phases.matrix:
-        x_n = ris_reflect(incident, v_n, scene.aod_ris_pr, ris)
-        tensor.per_epoch.append(pr_received(scene, waveform, x_n, pr, noise, rng))
-    return tensor
+    return np.stack([pr_received(scene, waveform,
+                                 ris_reflect(incident, v_n, scene.aod_ris_pr, ris),
+                                 pr, noise, rng)
+                     for v_n in phases.matrix])

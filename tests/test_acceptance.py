@@ -210,6 +210,7 @@ def _synthetic_sources(phases, ris, thetas, aod, seed, n_samples=64):
 
 def test_criterion_5_small_instance_oracles():
     grid = np.arange(-60.0, 61.0, 5.0)
+    cfg = LocalizerConfig(grid=grid)
     rng = np.random.default_rng(99)
 
     # subspace estimates equal exhaustive grid search on noiseless data
@@ -223,7 +224,7 @@ def test_criterion_5_small_instance_oracles():
         scores = [np.linalg.norm(dictionary[t].conj() @ data.z)
                   / np.linalg.norm(dictionary[t]) for t in grid]
         best = [float(grid[int(np.argmax(scores))])]
-        assert music_estimate(data, 1, grid, phases, ris, 20.0) == best == [25.0]
+        assert music_estimate(data, 1, cfg, phases, ris, 20.0) == best == [25.0]
 
         data2 = _synthetic_sources(phases, ris, [-40.0, 15.0], 20.0,
                                    seed=n_epoch + 50)
@@ -234,7 +235,7 @@ def test_criterion_5_small_instance_oracles():
             if res < best_res:
                 best_pair, best_res = sorted((float(ti), float(tj))), res
         assert best_pair == [-40.0, 15.0]
-        assert music_estimate(data2, 2, grid, phases, ris, 20.0) == best_pair
+        assert music_estimate(data2, 2, cfg, phases, ris, 20.0) == best_pair
 
     # sorted pairing equals brute-force min-cost assignment when targets are
     # separated by more than 5 degrees

@@ -10,7 +10,7 @@ from risloc import (MISS_ERROR_DEG, ArraySpec, BeamformedData, LocalizerConfig,
                     no_ris_localize, select_estimates, steering_vector,
                     trial_error)
 from risloc.benchmarks import _music_denominator
-from risloc.localizer import _scan_factors, scan_vector
+from risloc.localizer import _scan_coefficients, scan_vector
 from risloc.ris_optimizer import PhaseShiftMatrix
 
 
@@ -30,6 +30,7 @@ def source_data(phases, ris, thetas, aod, seed=0, n_samples=120):
 
 
 GRID = np.arange(-60.0, 61.0, 5.0)
+CFG = LocalizerConfig(grid=GRID)
 
 
 # ------------------------------------------------------------------ MUSIC
@@ -38,14 +39,14 @@ def test_music_single_source_exact():
     ris = ArraySpec(16)
     phases = unit_phases(0, 12, 16)
     data = source_data(phases, ris, [25.0], 20.0)
-    assert music_estimate(data, 1, GRID, phases, ris, 20.0) == [25.0]
+    assert music_estimate(data, 1, CFG, phases, ris, 20.0) == [25.0]
 
 
 def test_music_two_sources_exact():
     ris = ArraySpec(16)
     phases = unit_phases(1, 12, 16)
     data = source_data(phases, ris, [-40.0, 15.0], 20.0)
-    assert music_estimate(data, 2, GRID, phases, ris, 20.0) == [-40.0, 15.0]
+    assert music_estimate(data, 2, CFG, phases, ris, 20.0) == [-40.0, 15.0]
 
 
 def test_music_scale_invariant():
@@ -53,8 +54,8 @@ def test_music_scale_invariant():
     phases = unit_phases(2, 10, 16)
     data = source_data(phases, ris, [-40.0, 15.0], 20.0)
     scaled = BeamformedData(7.5 * data.z)
-    assert (music_estimate(data, 2, GRID, phases, ris, 20.0)
-            == music_estimate(scaled, 2, GRID, phases, ris, 20.0))
+    assert (music_estimate(data, 2, CFG, phases, ris, 20.0)
+            == music_estimate(scaled, 2, CFG, phases, ris, 20.0))
 
 
 def test_music_validates_model_order():
@@ -62,9 +63,9 @@ def test_music_validates_model_order():
     phases = unit_phases(3, 4, 8)
     data = source_data(phases, ris, [0.0], 20.0)
     with pytest.raises(ValueError):
-        music_estimate(data, 0, GRID, phases, ris, 20.0)
+        music_estimate(data, 0, CFG, phases, ris, 20.0)
     with pytest.raises(ValueError):
-        music_estimate(data, 4, GRID, phases, ris, 20.0)
+        music_estimate(data, 4, CFG, phases, ris, 20.0)
 
 
 def test_music_always_returns_requested_count():
@@ -76,7 +77,7 @@ def test_music_always_returns_requested_count():
     s = (r.standard_normal(100) + 1j * r.standard_normal(100)) / np.sqrt(2)
     z = (np.outer(scan_vector(-30.0, phases, ris, 20.0), s)
          + np.outer(scan_vector(10.0, phases, ris, 20.0), s))
-    est = music_estimate(BeamformedData(z), 2, GRID, phases, ris, 20.0)
+    est = music_estimate(BeamformedData(z), 2, CFG, phases, ris, 20.0)
     assert len(est) == 2
     assert est == sorted(est)
 
@@ -86,7 +87,7 @@ def test_music_agrees_with_principal_direction_search():
     ris = ArraySpec(12)
     phases = unit_phases(6, 6, 12)
     data = source_data(phases, ris, [10.0], 20.0)
-    got = music_estimate(data, 1, GRID, phases, ris, 20.0)
+    got = music_estimate(data, 1, CFG, phases, ris, 20.0)
 
     r = data.z @ data.z.conj().T / data.n_samples
     vals, vecs = np.linalg.eigh(r)
@@ -116,7 +117,8 @@ def test_factored_music_denominator_equals_explicit_form(n, m, k, grid, aod,
     d = np.stack([scan_vector(t, phases, ris, aod, include_b) for t in grid], axis=1)
     d = d / np.linalg.norm(d, axis=0)
     ref = np.sum(np.abs(noise_sub.conj().T @ d) ** 2, axis=0)
-    got = _music_denominator(noise_sub, *_scan_factors(phases, ris, aod, grid, include_b))
+    got = _music_denominator(noise_sub, phases.matrix,
+                             _scan_coefficients(ris, grid, aod, include_b))
     assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(ref)
 
 

@@ -6,11 +6,12 @@ import pytest
 import yaml
 
 from risloc import (ArraySpec, NoiseModel, beamform, cli, generate_waveform,
-                    matched_weight, ris_incident, ris_reflect, simulate_epochs)
-from risloc.experiments import (TRIALS_CSV_HEADER, _parse_gain, beamformed_epochs,
-                                config_from_dict, load_config, noise_variance_for_snr,
-                                run_beampattern, run_mse_sweep, run_spectrum,
-                                trial_rng)
+                    matched_weight, pr_received, ris_incident, ris_reflect,
+                    simulate_epochs)
+from risloc.experiments import (TRIALS_CSV_HEADER, _no_ris_epoch, _parse_gain,
+                                beamformed_epochs, config_from_dict, load_config,
+                                noise_variance_for_snr, run_beampattern, run_mse_sweep,
+                                run_spectrum, trial_rng)
 from risloc.ris_optimizer import PhaseShiftMatrix
 
 from conftest import make_scene
@@ -120,9 +121,10 @@ def test_unknown_config_keys_fail_at_load(tmp_path):
         d[section][key] = 1
         with pytest.raises(ValueError, match=f"unknown {section} keys: {key}"):
             config_from_dict(d)
-    # a misspelt gain spec, a short per-target list or a bad methods list
-    # fails while loading, not inside the first run
-    scene = tiny_config_dict()["scene"]
+    # a misspelt gain spec, a short per-target list, a bad methods list or a
+    # bad localizer setting fails while loading, not inside the first run
+    scene, loc = tiny_config_dict()["scene"], tiny_config_dict()["localizer"]
+    step_grid = {"start": -10.0, "stop": 10.0, "step": 1.0}
     for overrides, match in (
             ({"scene": dict(scene, gain_ap_ris={"dB": -20.0})}, "gain_ap_ris"),
             ({"scene": dict(scene, gain_targets=[0.1])}, "per-target lists"),
@@ -132,7 +134,14 @@ def test_unknown_config_keys_fail_at_load(tmp_path):
             ({"ris_init": "chrip"}, "unknown ris_init: chrip"),
             ({"m_sweep": [16, 0]}, "m_sweep"),
             ({"m_sweep": [16, 2.5]}, "m_sweep"),
-            ({"m_sweep": []}, "m_sweep")):
+            ({"m_sweep": []}, "m_sweep"),
+            ({"localizer": dict(loc, grid=[[10.0, 20.0, 30.0]])}, "1-D"),
+            ({"localizer": dict(loc, mu=float("nan"))}, "mu must be finite"),
+            ({"localizer": dict(loc, mu=float("inf"))}, "mu must be finite"),
+            ({"localizer": dict(loc, epsilon=float("nan"))}, "epsilon must be finite"),
+            ({"localizer": dict(loc, grid=dict(step_grid, step=0.0))}, "grid step must be > 0"),
+            ({"localizer": dict(loc, grid=dict(step_grid, stpe=2.0))},
+             "unknown grid keys: stpe")):
         path.write_text(yaml.safe_dump(tiny_config_dict(**overrides)))
         with pytest.raises(ValueError, match=f"misspelt.yaml: .*{match}"):
             load_config(path)
@@ -183,6 +192,20 @@ def test_beamformed_epochs_equal_the_per_epoch_chain(overrides):
     incident = ris_incident(scene, wf, ris)
     x = np.stack([ris_reflect(incident, v, scene.aod_ris_pr, ris) for v in phases.matrix])
     assert x_power == pytest.approx(float(np.mean(np.abs(x) ** 2)), rel=1e-12)
+
+
+@pytest.mark.parametrize("overrides", [{}, {"gain_ap_pr": 0j}])
+def test_no_ris_epoch_equals_pr_received(overrides):
+    # the sweep's baseline epoch draws its fading like beamformed_epochs and
+    # sums the paths in pr_received's order, so the two agree bit for bit
+    scene = make_scene(**overrides)
+    pr = ArraySpec(4)
+    wf = generate_waveform(20, np.random.default_rng(3))
+    chain_rng, oracle_rng = np.random.default_rng(8), np.random.default_rng(8)
+    y0 = _no_ris_epoch(scene, wf, pr, chain_rng)
+    ref = pr_received(scene, wf, np.zeros(20), pr, NoiseModel(0.0), oracle_rng)
+    assert np.array_equal(y0, ref)
+    assert chain_rng.standard_normal() == oracle_rng.standard_normal()
 
 
 def test_spectrum_run_reproducible_bytes(tmp_path):
@@ -320,6 +343,18 @@ def test_cli_sweep_parallel_flag(tmp_path):
                    "--parallel", "2"])
     assert rc == 0
     assert (out / "trials.csv").exists() and (out / "mse_sweep.csv").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_cli_rejects_parallel_below_one(tmp_path, workers):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(tiny_config_dict()))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["mse-sweep", "--config", str(path), "--out", str(out),
+                  "--parallel", workers])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def test_cli_beampattern_smoke(tmp_path):

@@ -47,6 +47,13 @@ def test_config_validation():
         LocalizerConfig(epsilon=-1e-9)
     with pytest.raises(ValueError):
         LocalizerConfig(grid=[3.0, 2.0, 1.0])
+    # NaN or infinite step settings would write an all-NaN spectrum
+    for kw in ({"mu": np.nan}, {"mu": np.inf}, {"epsilon": np.nan}, {"epsilon": np.inf}):
+        with pytest.raises(ValueError, match="finite"):
+            LocalizerConfig(**kw)
+    for grid in ([[10.0, 20.0, 30.0]], 5.0):
+        with pytest.raises(ValueError, match="1-D"):
+            LocalizerConfig(grid=grid)
     LocalizerConfig(mu=0.0)  # frozen recursion is allowed
 
 

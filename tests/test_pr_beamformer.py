@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from risloc import ArraySpec, SnapshotTensor, beamform, matched_weight, steering_vector
+from risloc import ArraySpec, beamform, matched_weight, steering_vector
 
 angles = st.floats(min_value=-89.9, max_value=89.9,
                    allow_nan=False, allow_infinity=False)
@@ -39,13 +39,8 @@ def test_beamform_passes_look_direction_through(rng):
     theta = -40.0
     w = matched_weight(pr, theta)
     a = steering_vector(pr, theta)
-    rows = []
-    tensor = SnapshotTensor()
-    for _ in range(3):
-        x = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-        tensor.per_epoch.append(np.outer(a, x))
-        rows.append(x)
-    data = beamform(tensor, w)
+    rows = [rng.standard_normal(10) + 1j * rng.standard_normal(10) for _ in range(3)]
+    data = beamform(np.stack([np.outer(a, x) for x in rows]), w)
     assert data.n_epoch == 3 and data.n_samples == 10
     np.testing.assert_allclose(data.z, np.stack(rows), atol=1e-10)
 
@@ -54,16 +49,15 @@ def test_beamform_is_linear(rng):
     pr = ArraySpec(4)
     w = matched_weight(pr, 5.0)
     y = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-    t1 = SnapshotTensor(per_epoch=[y])
-    t2 = SnapshotTensor(per_epoch=[(2.0 - 1.0j) * y])
-    np.testing.assert_allclose(beamform(t2, w).z, (2.0 - 1.0j) * beamform(t1, w).z,
-                               atol=1e-12)
+    np.testing.assert_allclose(beamform((2.0 - 1.0j) * y[None], w).z,
+                               (2.0 - 1.0j) * beamform(y[None], w).z, atol=1e-12)
 
 
 def test_beamform_validates_input(rng):
     w = matched_weight(ArraySpec(4), 0.0)
     with pytest.raises(ValueError):
-        beamform(SnapshotTensor(), w)
-    bad = SnapshotTensor(per_epoch=[np.zeros((6, 5), dtype=complex)])
+        beamform(np.zeros((0, 4, 5), dtype=complex), w)
     with pytest.raises(ValueError):
-        beamform(bad, w)
+        beamform(np.zeros((4, 5), dtype=complex), w)  # one epoch needs y[None]
+    with pytest.raises(ValueError):
+        beamform(np.zeros((1, 6, 5), dtype=complex), w)

@@ -233,9 +233,7 @@ def test_simulate_epochs_shapes(rng, scene):
     wf = generate_waveform(10, rng)
     phases = _unit_phases_matrix(rng, 3, 8)
     t = simulate_epochs(scene, wf, phases, pr, ris, NoiseModel(0.0), rng)
-    assert t.n_epoch == 3
-    assert all(y.shape == (4, 10) for y in t.per_epoch)
-    assert np.concatenate(t.per_epoch).shape == (12, 10)
+    assert t.shape == (3, 4, 10)
 
 
 def test_simulate_epochs_deterministic(scene):
@@ -246,8 +244,7 @@ def test_simulate_epochs_deterministic(scene):
                          np.random.default_rng(7))
     t2 = simulate_epochs(scene, wf, phases, pr, ris, NoiseModel(0.5),
                          np.random.default_rng(7))
-    np.testing.assert_array_equal(np.concatenate(t1.per_epoch),
-                                  np.concatenate(t2.per_epoch))
+    np.testing.assert_array_equal(t1, t2)
 
 
 def test_simulate_epochs_noiseless_direct_free_epochs_follow_phases(rng):
@@ -258,8 +255,8 @@ def test_simulate_epochs_noiseless_direct_free_epochs_follow_phases(rng):
     row = np.exp(1j * rng.uniform(0, 2 * np.pi, 8))
     phases = PhaseShiftMatrix(np.stack([row, row, -row]))
     t = simulate_epochs(scene, wf, phases, pr, ris, NoiseModel(0.0), rng)
-    np.testing.assert_allclose(t.per_epoch[0], t.per_epoch[1], atol=1e-12)
-    np.testing.assert_allclose(t.per_epoch[0], -t.per_epoch[2], atol=1e-12)
+    np.testing.assert_allclose(t[0], t[1], atol=1e-12)
+    np.testing.assert_allclose(t[0], -t[2], atol=1e-12)
 
 
 def test_simulate_epochs_gain_linearity(rng):
@@ -274,8 +271,7 @@ def test_simulate_epochs_gain_linearity(rng):
                          np.random.default_rng(3))
     t2 = simulate_epochs(scaled, wf, phases, pr, ris, NoiseModel(0.0),
                          np.random.default_rng(3))
-    np.testing.assert_allclose(np.concatenate(t2.per_epoch),
-                               3.0 * np.concatenate(t1.per_epoch), atol=1e-12)
+    np.testing.assert_allclose(t2, 3.0 * t1, atol=1e-12)
 
 
 def test_simulate_epochs_builds_incident_field_once(rng, scene, monkeypatch):
