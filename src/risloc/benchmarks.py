@@ -8,11 +8,10 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .localizer import (LocalizerConfig, SpectrumResult, _peak_indices, _scan_coefficients,
-                        _scan_result)
+from .localizer import LocalizerConfig, SpectrumResult, _peak_indices, _scan_result
 from .pr_beamformer import BeamformedData
 from .ris_optimizer import PhaseShiftMatrix
-from .signal_model import ArraySpec
+from .signal_model import ArraySpec, steering_dictionary
 
 MISS_ERROR_DEG = 90.0  # worst-case padding for missing detections
 
@@ -35,7 +34,7 @@ def music_estimate(data: BeamformedData, k_true: int, cfg: LocalizerConfig,
     r = r + 1e-10 * np.trace(r).real / data.n_epoch * np.eye(data.n_epoch)
     _, vecs = np.linalg.eigh(r)  # ascending eigenvalues
     noise_sub = vecs[:, : data.n_epoch - k_true]
-    coeff = _scan_coefficients(ris, cfg.grid, aod_ris_pr, cfg.include_b)
+    coeff = steering_dictionary(ris, cfg.grid, aod_ris_pr, cfg.include_b)
     pseudo = 1.0 / np.maximum(_music_denominator(noise_sub, phases.matrix, coeff), 1e-300)
     order = sorted(_peak_indices(pseudo), key=lambda i: -pseudo[i])
     picked = order[:k_true]
@@ -67,7 +66,7 @@ def no_ris_localize(y_epoch: np.ndarray, cfg: LocalizerConfig,
     y_epoch = np.asarray(y_epoch, dtype=complex)
     if y_epoch.ndim != 2 or y_epoch.shape[0] != pr.elements:
         raise ValueError(f"y_epoch must be {pr.elements} x L, got shape {y_epoch.shape}")
-    return _scan_result(y_epoch, np.eye(pr.elements), _scan_coefficients(pr, cfg.grid), cfg)
+    return _scan_result(y_epoch, np.eye(pr.elements), steering_dictionary(pr, cfg.grid), cfg)
 
 
 def select_estimates(result: SpectrumResult, k: int) -> List[float]:

@@ -22,7 +22,8 @@ from .pr_beamformer import BeamformedData, matched_weight
 from .ris_optimizer import (RIS_INITS, PhaseShiftMatrix, beampattern, solve_phase_shifts,
                             suppression_target)
 from .signal_model import (WAVEFORM_KINDS, ArraySpec, SceneConfig, Waveform, complex_normal,
-                           generate_waveform, ris_incident, steering_matrix, steering_vector)
+                           generate_waveform, is_int, ris_incident, steering_matrix,
+                           steering_vector)
 
 TRIALS_CSV_HEADER = "trial,method,snr_db,m_elements,mse_deg2,detected_count,flagged"
 
@@ -93,8 +94,7 @@ class ExperimentConfig:
         _reject_unknown("ris_init", [self.ris_init], RIS_INITS)
         if self.m_sweep is not None and not (
                 isinstance(self.m_sweep, (list, tuple)) and self.m_sweep
-                and all(isinstance(m, (int, np.integer)) and not isinstance(m, bool) and m >= 1
-                        for m in self.m_sweep)):
+                and all(is_int(m) and m >= 1 for m in self.m_sweep)):
             raise ValueError("m_sweep must be null or a non-empty list of integers >= 1, "
                              f"got {self.m_sweep!r}")
 

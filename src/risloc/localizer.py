@@ -3,14 +3,13 @@ steering estimates, power spectrum, normalization and peak detection."""
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .pr_beamformer import BeamformedData
 from .ris_optimizer import PhaseShiftMatrix
-from .signal_model import ArraySpec, steering_matrix, steering_vector
+from .signal_model import ArraySpec, steering_dictionary, steering_vector
 
 
 def default_grid() -> np.ndarray:
@@ -76,23 +75,6 @@ def scan_vector(theta: float, phases: PhaseShiftMatrix, ris: ArraySpec,
     if include_b:
         a = a * steering_vector(ris, aod_ris_pr)
     return phases.matrix @ a
-
-
-@functools.lru_cache(maxsize=8)
-def _coefficients(elements, spacing, grid: bytes, aod, include_b) -> np.ndarray:
-    spec = ArraySpec(elements, spacing)
-    c = steering_matrix(spec, np.frombuffer(grid))
-    if include_b:
-        c = c * steering_matrix(spec, [aod])
-    c.flags.writeable = False
-    return c
-
-
-def _scan_coefficients(spec: ArraySpec, grid, aod=0.0, include_b=False) -> np.ndarray:
-    """A(grid), times the taper column a(aod) when include_b: read-only, and
-    cached on values, so every trial and SNR point with the same M shares it."""
-    return _coefficients(spec.elements, spec.spacing, np.asarray(grid, dtype=float).tobytes(),
-                         aod if include_b else 0.0, include_b)
 
 
 def _step_denominator(z: np.ndarray, cfg: LocalizerConfig, axis=None):
@@ -168,10 +150,10 @@ def spectrum(data: BeamformedData, cfg: LocalizerConfig, phases: PhaseShiftMatri
     Starting from a_hat = 0, the NLMS estimate after L snapshots is linear in
     the scan vector, and every scan vector d(theta) = V diag(b) a(theta) is
     B c(theta) with the basis B = V (N_epoch x M) and c(theta) a column of
-    C = _scan_coefficients. So the whole grid is X C with X = nlms_adapt(z, B),
+    C = steering_dictionary. So the whole grid is X C with X = nlms_adapt(z, B),
     which equals running nlms_run once per angle.
     """
-    coeff = _scan_coefficients(ris, cfg.grid, aod_ris_pr, cfg.include_b)
+    coeff = steering_dictionary(ris, cfg.grid, aod_ris_pr, cfg.include_b)
     return _scan_result(data.z, phases.matrix, coeff, cfg)
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal_model import (ArraySpec, SceneConfig, complex_normal, steering_matrix,
+from .signal_model import (ArraySpec, SceneConfig, complex_normal, steering_dictionary,
                            steering_vector)
 
 
@@ -57,25 +57,31 @@ def _chirp_columns(m_elements: int, n_epoch: int, rng: np.random.Generator) -> n
     orthogonal block: sum over the orbit of conj(v) v^T is M * I. A truncated
     final orbit uses equispaced ramps. This keeps the per-epoch signatures far
     more uniform than Gaussian draws when n_epoch is only a few times M.
+
+    Each orbit is one exp over an M x |shifts| phase array, formed with the
+    per-column elementwise operations in the same order, so every column is
+    the one a per-column exp would give.
     """
     m = np.arange(m_elements)
-    cols = []
+    out = np.empty((m_elements, n_epoch), dtype=complex)
+    done = 0
     # odd rates are invertible mod 2M, giving flat-magnitude chirps
     rates = list(rng.permutation(np.arange(1, 2 * m_elements, 2)))
-    while len(cols) < n_epoch:
+    while done < n_epoch:
         if not rates:
             rates = list(rng.permutation(np.arange(1, 2 * m_elements, 2)))
         q = rates.pop()
-        need = n_epoch - len(cols)
+        need = n_epoch - done
         if need >= m_elements:
             shifts = np.arange(m_elements)
         else:
             shifts = np.round(np.arange(need) * m_elements / need).astype(int)
         glob = 2 * np.pi * rng.uniform()
-        for r in shifts:
-            cols.append(np.exp(1j * (np.pi * q * m * m / m_elements
-                                     + 2 * np.pi * r * m / m_elements + glob)))
-    return np.stack(cols[:n_epoch], axis=1)
+        out[:, done:done + shifts.size] = np.exp(1j * (
+            (np.pi * q * m * m / m_elements)[:, None]
+            + 2 * np.pi * shifts * m[:, None] / m_elements + glob))
+        done += shifts.size
+    return out
 
 
 RIS_INITS = ("gaussian", "chirp")
@@ -131,10 +137,10 @@ def suppression_db(phases: PhaseShiftMatrix, a_tilde: np.ndarray) -> float:
 
 def beampattern(phases: PhaseShiftMatrix, aod_ris_pr: float, ris: ArraySpec,
                 grid) -> np.ndarray:
-    """Epoch-summed power response B(theta) = sum_n |b^T diag(v_n) a(theta)|^2."""
-    b = steering_vector(ris, aod_ris_pr)
-    a = steering_matrix(ris, grid)
-    resp = phases.matrix @ (a * b[:, None])
+    """Epoch-summed power response B(theta) = sum_n |b^T diag(v_n) a(theta)|^2,
+    over the cached tapered dictionary that the scans of localizer.spectrum
+    use."""
+    resp = phases.matrix @ steering_dictionary(ris, grid, aod_ris_pr, tapered=True)
     return np.sum(np.abs(resp) ** 2, axis=0)
 
 

@@ -3,10 +3,22 @@ waveforms, RIS incident/reflected signals and the received epochs."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+
+def is_int(value) -> bool:
+    """What an ``int`` config field takes: a Python or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_finite_real(value) -> bool:
+    """What a ``float`` config field takes: a finite Python or numpy real, not a bool."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and bool(np.isfinite(value)))
 
 
 @dataclass
@@ -17,10 +29,10 @@ class ArraySpec:
     spacing: float = 0.5
 
     def __post_init__(self):
-        if self.elements < 1:
-            raise ValueError(f"elements must be >= 1, got {self.elements}")
-        if self.spacing <= 0:
-            raise ValueError(f"spacing must be > 0, got {self.spacing}")
+        if not (is_int(self.elements) and self.elements >= 1):
+            raise ValueError(f"elements must be an integer >= 1, got {self.elements!r}")
+        if not (is_finite_real(self.spacing) and self.spacing > 0):
+            raise ValueError(f"spacing must be finite and > 0, got {self.spacing!r}")
 
 
 @dataclass
@@ -112,6 +124,25 @@ def steering_matrix(spec: ArraySpec, angles_deg) -> np.ndarray:
     m = np.arange(spec.elements)
     return np.exp((2j * np.pi * spec.spacing * m)[:, None]
                   * np.sin(np.deg2rad(angles))[None, :])
+
+
+@functools.lru_cache(maxsize=8)
+def _coefficients(elements, spacing, grid: bytes, aod, tapered) -> np.ndarray:
+    spec = ArraySpec(elements, spacing)
+    c = steering_matrix(spec, np.frombuffer(grid))
+    if tapered:
+        c = c * steering_matrix(spec, [aod])
+    c.flags.writeable = False
+    return c
+
+
+def steering_dictionary(spec: ArraySpec, grid, aod=0.0, tapered=False) -> np.ndarray:
+    """A(grid), times the taper column a(aod) when tapered: read-only, and
+    cached on values, so every scan, beampattern, trial and SNR point with the
+    same array and grid shares one array. Without the taper, aod is not part
+    of the key."""
+    return _coefficients(spec.elements, spec.spacing, np.asarray(grid, dtype=float).tobytes(),
+                         aod if tapered else 0.0, tapered)
 
 
 def complex_normal(shape, rng: np.random.Generator) -> np.ndarray:

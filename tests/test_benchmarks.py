@@ -10,8 +10,9 @@ from risloc import (MISS_ERROR_DEG, ArraySpec, BeamformedData, LocalizerConfig,
                     no_ris_localize, select_estimates, steering_vector,
                     trial_error)
 from risloc.benchmarks import _music_denominator
-from risloc.localizer import _scan_coefficients, scan_vector
+from risloc.localizer import scan_vector
 from risloc.ris_optimizer import PhaseShiftMatrix
+from risloc.signal_model import steering_dictionary
 
 
 def unit_phases(seed, n, m):
@@ -118,7 +119,7 @@ def test_factored_music_denominator_equals_explicit_form(n, m, k, grid, aod,
     d = d / np.linalg.norm(d, axis=0)
     ref = np.sum(np.abs(noise_sub.conj().T @ d) ** 2, axis=0)
     got = _music_denominator(noise_sub, phases.matrix,
-                             _scan_coefficients(ris, grid, aod, include_b))
+                             steering_dictionary(ris, grid, aod, include_b))
     assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(ref)
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
+import risloc.signal_model as signal_model
 from risloc import (ArraySpec, NoiseModel, beamform, cli, generate_waveform,
                     matched_weight, pr_received, ris_incident, ris_reflect,
                     simulate_epochs)
@@ -135,6 +136,10 @@ def test_unknown_config_keys_fail_at_load(tmp_path):
             ({"m_sweep": [16, 0]}, "m_sweep"),
             ({"m_sweep": [16, 2.5]}, "m_sweep"),
             ({"m_sweep": []}, "m_sweep"),
+            ({"ris": {"elements": 8.5, "spacing": 0.5}}, "elements must be an integer"),
+            ({"ris": {"elements": True, "spacing": 0.5}}, "elements must be an integer"),
+            ({"pr": {"elements": 4, "spacing": float("inf")}}, "spacing must be finite"),
+            ({"pr": {"elements": 4, "spacing": float("nan")}}, "spacing must be finite"),
             ({"localizer": dict(loc, grid=[[10.0, 20.0, 30.0]])}, "1-D"),
             ({"localizer": dict(loc, mu=float("nan"))}, "mu must be finite"),
             ({"localizer": dict(loc, mu=float("inf"))}, "mu must be finite"),
@@ -306,6 +311,19 @@ def test_beampattern_outputs(tmp_path):
         assert head == "theta_deg,b_normalized_db"
     blob = json.loads((tmp_path / "beampattern_summary.json").read_text())
     assert len(blob["placements"]) == 2
+
+
+def test_shipped_beampattern_item_reuses_cached_dictionaries(tmp_path):
+    # each placement looks up the grid dictionary and its one-angle notch
+    # entry; an item keeps 4 + 1 <= maxsize entries, so after a first item a
+    # second one builds none
+    cfg = load_config(os.path.join(CONFIG_DIR, "beampattern.yaml"))
+    run_beampattern(cfg, seed=1, out_dir=str(tmp_path / "warm"))
+    before = signal_model._coefficients.cache_info()
+    run_beampattern(cfg, seed=2, out_dir=str(tmp_path / "item"))
+    after = signal_model._coefficients.cache_info()
+    assert after.misses == before.misses
+    assert after.hits == before.hits + 2 * len(cfg.beampattern_placements)
 
 
 def test_beampattern_requires_placements(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from risloc import (ArraySpec, BeamformedData, LocalizerConfig, default_grid,
                     detect_peaks, nlms_run, no_ris_localize, scan_vector, spectrum,
                     steering_vector)
-from risloc.localizer import _peak_indices, _scan_coefficients, _step_denominator, nlms_adapt
+from risloc.localizer import _peak_indices, _step_denominator, nlms_adapt
 from risloc.ris_optimizer import PhaseShiftMatrix
 
 
@@ -244,28 +244,6 @@ def test_kernel_matches_extended_precision_recursion(n, m, n_samples, mu, textbo
     ref = x.astype(complex)
     got = nlms_adapt(z, basis, cfg)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-
-def test_cached_coefficients_are_keyed_on_values(rng):
-    # same-size grids with different angles, and two taper angles, must each
-    # get their own dictionary; without the taper, aod is not part of the key
-    ris = ArraySpec(4)
-    phases = unit_phases(14, 7, 4)
-    data = BeamformedData(rng.standard_normal((7, 25))
-                          + 1j * rng.standard_normal((7, 25)))
-    for grid, aod in (([-30.0, 0.0, 30.0], 20.0), ([-20.0, 5.0, 40.0], 20.0),
-                      ([-20.0, 5.0, 40.0], -35.0)):
-        cfg = LocalizerConfig(mu=0.3, grid=grid)
-        got = spectrum(data, cfg, phases, ris, aod).power
-        ref = [np.sum(np.abs(nlms_run(data, t, cfg, phases, ris, aod)) ** 2)
-               for t in cfg.grid]
-        np.testing.assert_allclose(got, ref, rtol=1e-10)
-    cached = _scan_coefficients(ris, [-20.0, 5.0, 40.0], -35.0, include_b=True)
-    assert cached is _scan_coefficients(ris, np.array([-20.0, 5.0, 40.0]), -35.0, True)
-    with pytest.raises(ValueError, match="read-only"):
-        cached[0, 0] = 0.0
-    untapered = _scan_coefficients(ris, [-20.0, 5.0, 40.0], 20.0, include_b=False)
-    assert untapered is _scan_coefficients(ris, [-20.0, 5.0, 40.0], -35.0, include_b=False)
 
 
 def test_noiseless_single_source_dominates(rng):

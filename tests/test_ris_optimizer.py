@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from risloc import ArraySpec, steering_vector
+import risloc.localizer as localizer
+import risloc.ris_optimizer as ris_optimizer
+from risloc import ArraySpec, BeamformedData, LocalizerConfig, steering_vector
 from risloc.ris_optimizer import (PhaseShiftMatrix, _chirp_columns, beampattern,
                                   beampattern_db, orthogonal_projector,
                                   solve_phase_shifts, suppression_db,
@@ -131,6 +133,53 @@ def test_chirp_columns_orthogonal_over_complete_orbit(rng):
     np.testing.assert_allclose(c @ c.conj().T, m * np.eye(m), atol=1e-9)
 
 
+def chirp_columns_reference(m_elements, n_epoch, rng):
+    """_chirp_columns as one exp per column: the literal transcription."""
+    m = np.arange(m_elements)
+    cols = []
+    rates = list(rng.permutation(np.arange(1, 2 * m_elements, 2)))
+    while len(cols) < n_epoch:
+        if not rates:
+            rates = list(rng.permutation(np.arange(1, 2 * m_elements, 2)))
+        q = rates.pop()
+        need = n_epoch - len(cols)
+        if need >= m_elements:
+            shifts = np.arange(m_elements)
+        else:
+            shifts = np.round(np.arange(need) * m_elements / need).astype(int)
+        glob = 2 * np.pi * rng.uniform()
+        for r in shifts:
+            cols.append(np.exp(1j * (np.pi * q * m * m / m_elements
+                                     + 2 * np.pi * r * m / m_elements + glob)))
+    return np.stack(cols[:n_epoch], axis=1)
+
+
+@st.composite
+def chirp_shapes(draw):
+    m = draw(st.integers(1, 64))
+    # half the draws run past M orbits, so the rates are permuted again
+    n = draw(st.one_of(st.integers(1, m * m + m), st.integers(m * m + 1, m * m + m)))
+    return m, n
+
+
+@given(shape=chirp_shapes(), seed=st.integers(0, 2 ** 32 - 1))
+@example(shape=(1, 2), seed=0)
+@example(shape=(3, 12), seed=1)
+@example(shape=(64, 90), seed=2)
+@settings(max_examples=60, deadline=None)
+def test_chirp_columns_match_per_column_reference(shape, seed):
+    # one exp per orbit gives the per-column bits and consumes the
+    # generator in the same order: one permutation, one uniform per orbit,
+    # and a new permutation when the rates run out
+    m, n = shape
+    r_got, r_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _chirp_columns(m, n, r_got)
+    ref = chirp_columns_reference(m, n, r_ref)
+    assert got.shape == ref.shape == (m, n)
+    assert np.array_equal(got.view(float), ref.view(float))
+    assert r_got.bit_generator.state == r_ref.bit_generator.state
+
+
 # ----------------------------------------------------------- beampattern
 
 def test_beampattern_all_ones_points_broadside():
@@ -148,6 +197,42 @@ def test_beampattern_db_peaks_at_zero(rng):
     db = beampattern_db(phases, 10.0, ris, np.arange(-60.0, 60.5, 0.5))
     assert abs(db.max()) < 1e-12
     assert np.all(db <= 0.0)
+
+
+def test_beampattern_equals_epoch_sum_per_angle(rng):
+    ris = ArraySpec(12)
+    phases = PhaseShiftMatrix(np.exp(1j * rng.uniform(0, 2 * np.pi, (7, 12))))
+    grid = np.arange(-80.0, 80.5, 2.5)
+    b = steering_vector(ris, -25.0)
+    ref = np.array([sum(abs(np.sum(b * v_n * steering_vector(ris, t))) ** 2
+                        for v_n in phases.matrix) for t in grid])
+    got = beampattern(phases, -25.0, ris, grid)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(ref)
+
+
+def test_beampattern_and_spectrum_share_one_dictionary(monkeypatch, rng):
+    # the pattern and the NLMS scan of the same array, grid and aod read the
+    # same cached array, not two equal copies
+    seen = {}
+
+    def recorder(module):
+        original = module.steering_dictionary
+
+        def record(*args, **kwargs):
+            out = original(*args, **kwargs)
+            seen.setdefault(module.__name__, []).append(out)
+            return out
+        return record
+
+    for module in (ris_optimizer, localizer):
+        monkeypatch.setattr(module, "steering_dictionary", recorder(module))
+    ris, aod = ArraySpec(8), 15.0
+    cfg = LocalizerConfig(grid=np.arange(-60.0, 60.5, 1.0))
+    phases = PhaseShiftMatrix(np.exp(1j * rng.uniform(0, 2 * np.pi, (10, 8))))
+    data = BeamformedData(rng.standard_normal((10, 6)) + 1j * rng.standard_normal((10, 6)))
+    localizer.spectrum(data, cfg, phases, ris, aod)
+    beampattern(phases, aod, ris, cfg.grid)
+    assert seen["risloc.ris_optimizer"][0] is seen["risloc.localizer"][0]
 
 
 def test_optimized_beampattern_notches_the_ap_direction():

@@ -9,6 +9,7 @@ from risloc import (ArraySpec, NoiseModel, Waveform,
                     ris_incident, ris_reflect, simulate_epochs,
                     steering_matrix, steering_vector)
 from risloc.ris_optimizer import PhaseShiftMatrix
+from risloc.signal_model import steering_dictionary
 
 from conftest import make_scene
 
@@ -88,6 +89,36 @@ def test_array_spec_validation():
         ArraySpec(0)
     with pytest.raises(ValueError):
         ArraySpec(4, spacing=0.0)
+    # a fractional or boolean size, or a non-finite spacing, fails at
+    # construction instead of sizing arrays with np.arange(8.5)
+    for elements in (8.5, 8.0, True, "8"):
+        with pytest.raises(ValueError, match="elements must be an integer"):
+            ArraySpec(elements)
+    for spacing in (float("inf"), float("nan"), True, "0.5"):
+        with pytest.raises(ValueError, match="spacing must be finite"):
+            ArraySpec(4, spacing)
+    spec = ArraySpec(np.int64(4), np.float32(0.25))
+    assert steering_vector(spec, 30.0).shape == (4,)
+
+
+def test_cached_coefficients_are_keyed_on_values():
+    # same-size grids with different angles, and two taper angles, must each
+    # get their own dictionary; without the taper, aod is not part of the key
+    ris = ArraySpec(4)
+    for grid, aod in (([-30.0, 0.0, 30.0], 20.0), ([-20.0, 5.0, 40.0], 20.0),
+                      ([-20.0, 5.0, 40.0], -35.0)):
+        ref = np.stack([steering_vector(ris, t) for t in grid], axis=1)
+        np.testing.assert_array_equal(steering_dictionary(ris, grid), ref)
+        np.testing.assert_array_equal(steering_dictionary(ris, grid, aod, tapered=True),
+                                      ref * steering_vector(ris, aod)[:, None])
+    cached = steering_dictionary(ris, [-20.0, 5.0, 40.0], -35.0, tapered=True)
+    assert cached is steering_dictionary(ris, np.array([-20.0, 5.0, 40.0]), -35.0, True)
+    assert cached is not steering_dictionary(ArraySpec(4, 0.25), [-20.0, 5.0, 40.0], -35.0,
+                                             True)
+    with pytest.raises(ValueError, match="read-only"):
+        cached[0, 0] = 0.0
+    untapered = steering_dictionary(ris, [-20.0, 5.0, 40.0], 20.0, tapered=False)
+    assert untapered is steering_dictionary(ris, [-20.0, 5.0, 40.0], -35.0, tapered=False)
 
 
 # ------------------------------------------------------------- channels
