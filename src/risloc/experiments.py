@@ -21,9 +21,9 @@ from .localizer import LocalizerConfig, SpectrumResult, default_grid, spectrum
 from .pr_beamformer import BeamformedData, matched_weight
 from .ris_optimizer import (RIS_INITS, PhaseShiftMatrix, beampattern, solve_phase_shifts,
                             suppression_target)
-from .signal_model import (WAVEFORM_KINDS, ArraySpec, SceneConfig, Waveform, complex_normal,
-                           generate_waveform, is_int, ris_incident, steering_matrix,
-                           steering_vector)
+from .signal_model import (WAVEFORM_KINDS, ArraySpec, Decibels, SceneConfig, Waveform,
+                           check_angles, check_fields, check_value, complex_normal,
+                           generate_waveform, ris_incident, steering_matrix, steering_vector)
 
 TRIALS_CSV_HEADER = "trial,method,snr_db,m_elements,mse_deg2,detected_count,flagged"
 
@@ -34,10 +34,12 @@ def _parse_gain(spec, rng: Optional[np.random.Generator]) -> complex:
     phase_deg omitted or null means a fresh uniform phase per call, which is
     how per-trial phase randomization enters.
     """
-    if isinstance(spec, (int, float, complex)):
+    if isinstance(spec, (int, float, complex)) and not isinstance(spec, bool):
         return complex(spec)
     if not isinstance(spec, dict) or "db" not in spec or set(spec) - {"db", "phase_deg"}:
         raise ValueError(f"gain must be a number or {{db, phase_deg}}, got {spec!r}")
+    check_value("db", spec["db"], Decibels)
+    check_value("phase_deg", spec.get("phase_deg"), Optional[float])
     mag = 10.0 ** (float(spec["db"]) / 20.0)
     phase = spec.get("phase_deg")
     if phase is None:
@@ -47,15 +49,15 @@ def _parse_gain(spec, rng: Optional[np.random.Generator]) -> complex:
     return mag * np.exp(1j * np.deg2rad(float(phase)))
 
 
-def _scene_value(f: dataclasses.Field, value, rng: Optional[np.random.Generator]):
-    """One entry of the scene: block, typed by its SceneConfig field: gain_*
-    entries go through _parse_gain, the rest are floats; Sequence fields take
-    lists."""
-    parse = (lambda g: _parse_gain(g, rng)) if f.name.startswith("gain_") else float
+def _scene_value(name: str, value, rng: Optional[np.random.Generator]):
+    """One scene: entry; a gain_* entry, or each entry of a listed one, is parsed as a gain."""
+    if not name.startswith("gain_"):
+        return value
     try:
-        return [parse(v) for v in value] if "Sequence" in str(f.type) else parse(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"scene key {f.name}: {exc}") from exc
+        return ([_parse_gain(v, rng) for v in value] if isinstance(value, (list, tuple))
+                else _parse_gain(value, rng))
+    except (ValueError, OverflowError) as exc:  # OverflowError: an int too large for complex
+        raise ValueError(f"scene key {name}: {exc}") from exc
 
 
 METHODS = ("nlms_ris", "music_ris", "nlms_no_ris")
@@ -69,8 +71,8 @@ class ExperimentConfig:
     n_epoch: int
     n_samples: int
     localizer: LocalizerConfig = dataclasses.field(default_factory=LocalizerConfig)
-    snr_db: float = 0.0
-    snr_sweep_db: Sequence[float] = ()
+    snr_db: Decibels = 0.0
+    snr_sweep_db: Sequence[Decibels] = ()
     trials: int = 200
     seed: int = 0
     out_dir: str = "results"
@@ -83,25 +85,29 @@ class ExperimentConfig:
     mse_target_deg2: float = 10.0
 
     def __post_init__(self):
+        check_fields(self)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.n_epoch < 1 or self.n_samples < 1:
             raise ValueError("n_epoch and n_samples must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if -np.inf in (self.snr_db, *self.snr_sweep_db):  # +inf is noise-free
+            raise ValueError("snr_db and snr_sweep_db entries must not be -inf")
+        check_angles("beampattern_placements", self.beampattern_placements)
         if not self.methods:
             raise ValueError("methods must be non-empty")
         _reject_unknown("methods", self.methods, METHODS)
         _reject_unknown("waveform_kind", [self.waveform_kind], WAVEFORM_KINDS)
         _reject_unknown("ris_init", [self.ris_init], RIS_INITS)
-        if self.m_sweep is not None and not (
-                isinstance(self.m_sweep, (list, tuple)) and self.m_sweep
-                and all(is_int(m) and m >= 1 for m in self.m_sweep)):
+        if self.m_sweep is not None and not (self.m_sweep and all(m >= 1 for m in self.m_sweep)):
             raise ValueError("m_sweep must be null or a non-empty list of integers >= 1, "
                              f"got {self.m_sweep!r}")
 
     def make_scene(self, rng: Optional[np.random.Generator] = None) -> SceneConfig:
         """The scene: block as a SceneConfig. Entries are parsed in field order,
         so random gain phases are drawn in that order whatever the key order."""
-        return SceneConfig(**{f.name: _scene_value(f, self.scene_spec[f.name], rng)
+        return SceneConfig(**{f.name: _scene_value(f.name, self.scene_spec[f.name], rng)
                               for f in dataclasses.fields(SceneConfig)
                               if f.name in self.scene_spec})
 
@@ -111,10 +117,14 @@ def _parse_grid(spec) -> np.ndarray:
         return default_grid()
     if isinstance(spec, dict):
         _reject_unknown("grid keys", spec, ("start", "stop", "step"))
+        for key in ("start", "stop", "step"):
+            check_value(f"grid {key}", spec[key], float)
         start, stop, step = float(spec["start"]), float(spec["stop"]), float(spec["step"])
         if not step > 0:
             raise ValueError(f"grid step must be > 0, got {step}")
         return np.round(np.arange(start, stop + step / 2, step), 6)
+    # flattened, so that a nested list still fails as not 1-D
+    check_value("grid", np.asarray(spec, dtype=object).ravel().tolist(), Sequence[float])
     return np.asarray(spec, dtype=float)
 
 
@@ -161,7 +171,7 @@ def load_config(path) -> ExperimentConfig:
         return config_from_dict(d)
     except KeyError as exc:
         raise ValueError(f"config {path} is missing required key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"config {path}: {exc}") from exc
 
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from .pr_beamformer import BeamformedData
 from .ris_optimizer import PhaseShiftMatrix
-from .signal_model import ArraySpec, steering_dictionary, steering_vector
+from .signal_model import ArraySpec, check_fields, steering_dictionary, steering_vector
 
 
 def default_grid() -> np.ndarray:
@@ -29,18 +29,20 @@ class LocalizerConfig:
     textbook_norm: bool = False
 
     def __post_init__(self):
+        self.grid = np.asarray(self.grid, dtype=float)
+        check_fields(self)
         # mu = 0 is allowed: the recursion then never updates, which is a
         # useful degenerate case for testing.
-        if not (np.isfinite(self.mu) and self.mu >= 0):
+        if not self.mu >= 0:
             raise ValueError(f"step size mu must be finite and non-negative, got {self.mu}")
         if not (0.0 < self.threshold < 1.0):
             raise ValueError("threshold must lie in (0, 1)")
-        if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
+        if not self.epsilon >= 0:
             raise ValueError(f"epsilon must be finite and non-negative, got {self.epsilon}")
-        self.grid = np.asarray(self.grid, dtype=float)
         if (self.grid.ndim != 1 or self.grid.size == 0
                 or np.any(np.diff(self.grid) <= 0)):
             raise ValueError("grid must be a non-empty, strictly increasing 1-D sequence")
+        # the rule of check_angles, kept separate to list every bad grid angle
         bad = self.grid[~(np.abs(self.grid) < 90.0)]
         if bad.size:
             raise ValueError("grid angles must satisfy |theta| < 90 deg (steering is "

@@ -4,21 +4,61 @@ waveforms, RIS incident/reflected signals and the received epochs."""
 from __future__ import annotations
 
 import functools
+import math
+import sys
+import typing
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 
-def is_int(value) -> bool:
-    """What an ``int`` config field takes: a Python or numpy integer, not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+Decibels = typing.Annotated[float, "a level in dB; +-inf is the linear 0 or infinity"]
 
 
-def is_finite_real(value) -> bool:
-    """What a ``float`` config field takes: a finite Python or numpy real, not a bool."""
-    return (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool) and bool(np.isfinite(value)))
+def check_value(name: str, value, hint) -> None:
+    """Raise a ValueError naming name unless value fits annotation hint; never converts."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    number = real or isinstance(value, (complex, np.complexfloating))
+    # |value|, exact for a Python int, so that one too large for a float is not finite
+    size = (abs(value) if isinstance(value, int) else abs(complex(value))) if number else math.nan
+    finite = size <= sys.float_info.max
+    if hint is float:
+        ok, what = real and finite, "finite (a real number, not a bool)"
+    elif hint is Decibels:  # a level in dB may be +-inf; a plain float must be finite
+        ok, what = real and (finite or size == math.inf), "finite or +-inf (not NaN or a bool)"
+    elif hint is int:
+        ok, what = real and isinstance(value, (int, np.integer)), "an integer (not a bool)"
+    elif hint is complex:
+        ok, what = number and finite, "finite (a number, not a bool)"
+    elif hint is bool:
+        ok, what = isinstance(value, (bool, np.bool_)), "true or false"
+    elif getattr(hint, "__origin__", None) is Sequence:
+        ok, what = isinstance(value, (list, tuple)), "a list"
+        for i, v in enumerate(value if ok else ()):
+            check_value(f"{name}[{i}]", v, hint.__args__[0])
+    elif getattr(hint, "__origin__", None) is typing.Union:  # Optional[X]
+        return None if value is None else check_value(name, value, hint.__args__[0])
+    else:
+        ok, what = isinstance(value, hint), f"of type {hint.__name__}"
+    if not ok:
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
+# f.type is a str under __future__; include_extras keeps Decibels apart from float
+_type_hints = functools.cache(functools.partial(typing.get_type_hints, include_extras=True))
+
+
+def check_fields(obj) -> None:
+    """check_value on every field of a config dataclass, keyed on its annotation."""
+    for name, hint in _type_hints(type(obj)).items():
+        check_value(name, getattr(obj, name), hint)
+
+
+def check_angles(name: str, angles) -> None:
+    """Steering is undefined at +-90, so every angle must satisfy |angle| < 90."""
+    if not all(abs(a) < 90.0 for a in np.ravel(angles).tolist()):
+        raise ValueError(f"{name} must satisfy |angle| < 90, got {angles}")
 
 
 @dataclass
@@ -29,9 +69,10 @@ class ArraySpec:
     spacing: float = 0.5
 
     def __post_init__(self):
-        if not (is_int(self.elements) and self.elements >= 1):
+        check_fields(self)
+        if self.elements < 1:
             raise ValueError(f"elements must be an integer >= 1, got {self.elements!r}")
-        if not (is_finite_real(self.spacing) and self.spacing > 0):
+        if not self.spacing > 0:
             raise ValueError(f"spacing must be finite and > 0, got {self.spacing!r}")
 
 
@@ -39,7 +80,7 @@ class ArraySpec:
 class SceneConfig:
     """Geometry, complex path gains and Rician factors for AP, RIS, PR and targets.
 
-    Angles are in degrees. Gains are complex amplitudes.
+    Angles are in degrees and satisfy |angle| < 90. Gains are complex amplitudes.
     """
 
     target_aoas_ris: Sequence[float]
@@ -57,6 +98,7 @@ class SceneConfig:
     rician_targets_pr: Sequence[float] = ()
 
     def __post_init__(self):
+        check_fields(self)
         k = len(self.target_aoas_ris)
         if not (len(self.target_aoas_pr) == len(self.gain_targets)
                 == len(self.gain_targets_pr) == k):
@@ -67,10 +109,9 @@ class SceneConfig:
             raise ValueError("rician_targets_pr length must equal K")
         if self.rician_ap_pr < 0 or any(v < 0 for v in self.rician_targets_pr):
             raise ValueError("Rician factors must be non-negative")
-        for g in [self.gain_ap_ris, self.gain_ris_pr, self.gain_ap_pr,
-                  *self.gain_targets, *self.gain_targets_pr]:
-            if not np.isfinite(g):
-                raise ValueError("gains must be finite")
+        for name in ("target_aoas_ris", "target_aoas_pr", "aoa_ap_ris", "aoa_ris_pr",
+                     "aod_ris_pr", "aoa_ap_pr"):
+            check_angles(name, getattr(self, name))
 
     @property
     def n_targets(self) -> int:
@@ -104,8 +145,7 @@ class NoiseModel:
 
 def steering_vector(spec: ArraySpec, angle_deg: float) -> np.ndarray:
     """ULA response: element m (1-based) = exp(j*2*pi*spacing*(m-1)*sin(angle))."""
-    if not abs(angle_deg) < 90.0:
-        raise ValueError(f"steering angle must satisfy |angle| < 90, got {angle_deg}")
+    check_angles("steering angle", angle_deg)
     m = np.arange(spec.elements)
     return np.exp(2j * np.pi * spec.spacing * m * np.sin(np.deg2rad(angle_deg)))
 
@@ -118,9 +158,7 @@ def steering_matrix(spec: ArraySpec, angles_deg) -> np.ndarray:
     steering_vector(spec, angles_deg[j]). Every angle must satisfy |angle| < 90.
     """
     angles = np.asarray(angles_deg, dtype=float).reshape(-1)
-    bad = angles[~(np.abs(angles) < 90.0)]
-    if bad.size:
-        raise ValueError(f"steering angle must satisfy |angle| < 90, got {bad[0]}")
+    check_angles("steering angle", angles)
     m = np.arange(spec.elements)
     return np.exp((2j * np.pi * spec.spacing * m)[:, None]
                   * np.sin(np.deg2rad(angles))[None, :])

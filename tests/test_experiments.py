@@ -1,14 +1,17 @@
+import collections.abc
+import dataclasses
 import json
 import os
+import typing
 
 import numpy as np
 import pytest
 import yaml
 
 import risloc.signal_model as signal_model
-from risloc import (ArraySpec, NoiseModel, beamform, cli, generate_waveform,
-                    matched_weight, pr_received, ris_incident, ris_reflect,
-                    simulate_epochs)
+from risloc import (ArraySpec, ExperimentConfig, LocalizerConfig, NoiseModel, SceneConfig,
+                    beamform, cli, generate_waveform, matched_weight, pr_received,
+                    ris_incident, ris_reflect, simulate_epochs)
 from risloc.experiments import (TRIALS_CSV_HEADER, _no_ris_epoch, _parse_gain,
                                 beamformed_epochs, config_from_dict, load_config,
                                 noise_variance_for_snr, run_beampattern, run_mse_sweep,
@@ -146,10 +149,105 @@ def test_unknown_config_keys_fail_at_load(tmp_path):
             ({"localizer": dict(loc, epsilon=float("nan"))}, "epsilon must be finite"),
             ({"localizer": dict(loc, grid=dict(step_grid, step=0.0))}, "grid step must be > 0"),
             ({"localizer": dict(loc, grid=dict(step_grid, stpe=2.0))},
-             "unknown grid keys: stpe")):
+             "unknown grid keys: stpe"),
+            # each field's annotation decides what it takes: no bool for a
+            # number, an integer for an int, a list for a Sequence, a real
+            # (not NaN) for a float, a YAML bool for a bool
+            ({"n_samples": 30.5}, "n_samples"),
+            ({"trials": True}, "trials"),
+            ({"trials": 2.0}, "trials"),
+            ({"seed": 1.5}, "seed"),
+            ({"refine_rounds": 1.5}, "refine_rounds"),
+            ({"snr_db": "high"}, "snr_db"),
+            ({"snr_db": float("nan")}, "snr_db"),
+            ({"snr_sweep_db": 3.0}, "snr_sweep_db"),
+            ({"snr_sweep_db": ["a"]}, "snr_sweep_db"),
+            ({"mse_target_deg2": float("nan")}, "mse_target_deg2"),
+            ({"out_dir": 5}, "out_dir"),
+            ({"beampattern_placements": [True]}, "beampattern_placements"),
+            ({"methods": "nlms_ris"}, "methods must be a list"),
+            ({"localizer": dict(loc, include_b="false")}, "include_b"),
+            ({"localizer": dict(loc, textbook_norm=3)}, "textbook_norm"),
+            ({"localizer": dict(loc, mu=True)}, "mu must be finite"),
+            ({"localizer": dict(loc, mu="0.1")}, "mu must be finite"),
+            ({"scene": dict(scene, aoa_ap_ris=True)}, "aoa_ap_ris"),
+            ({"scene": dict(scene, aoa_ap_ris=float("nan"))}, "aoa_ap_ris"),
+            ({"scene": dict(scene, rician_ap_pr=float("nan"))}, "rician_ap_pr"),
+            ({"scene": dict(scene, gain_ap_ris=True)}, "gain_ap_ris"),
+            ({"scene": dict(scene, target_aoas_ris=5.0)}, "target_aoas_ris must be a list"),
+            # gain specs and grid bounds are checked as floats too
+            ({"scene": dict(scene, gain_ap_ris={"db": "-20", "phase_deg": 0.0})},
+             "gain_ap_ris: db"),
+            ({"scene": dict(scene, gain_ap_ris={"db": True, "phase_deg": 0.0})},
+             "gain_ap_ris: db"),
+            ({"scene": dict(scene, gain_ap_ris={"db": -20.0, "phase_deg": True})},
+             "gain_ap_ris: phase_deg"),
+            ({"localizer": dict(loc, grid=dict(step_grid, start=True))}, "grid start"),
+            ({"localizer": dict(loc, grid=dict(step_grid, start="-10"))}, "grid start"),
+            ({"localizer": dict(loc, grid=[True, 5.0])}, r"grid\[0\] must be"),
+            # ranges that would fail only in the first run
+            ({"scene": dict(scene, target_aoas_ris=[95.0, 25.0])},
+             r"target_aoas_ris must satisfy \|angle\| < 90"),
+            ({"scene": dict(scene, aoa_ris_pr=90.0)}, r"aoa_ris_pr must satisfy \|angle\| < 90"),
+            ({"beampattern_placements": [95.0]}, r"beampattern_placements must satisfy \|angle"),
+            ({"scene": dict(scene, rician_ap_pr=float("inf"))}, "rician_ap_pr"),
+            ({"scene": dict(scene, rician_targets_pr=[float("inf"), 1.0])}, "rician_targets_pr"),
+            ({"seed": -1}, "seed must be >= 0"),
+            ({"snr_db": float("-inf")}, "snr_db"),
+            ({"snr_sweep_db": [float("-inf"), 0.0]}, "snr_sweep_db"),
+            # an integer too large for a float
+            ({"snr_db": 10**400}, "snr_db"),
+            ({"mse_target_deg2": 10**400}, "mse_target_deg2"),
+            ({"scene": dict(scene, gain_ap_ris=10**400)}, "gain_ap_ris"),
+            ({"scene": dict(scene, gain_ap_ris={"db": 10**400})}, "gain_ap_ris: db")):
         path.write_text(yaml.safe_dump(tiny_config_dict(**overrides)))
         with pytest.raises(ValueError, match=f"misspelt.yaml: .*{match}"):
             load_config(path)
+    # +inf SNR is the noise-free sweep and stays legal
+    path.write_text(yaml.safe_dump(tiny_config_dict(snr_db=float("inf"),
+                                                    snr_sweep_db=[float("inf")])))
+    assert load_config(path).snr_sweep_db == [float("inf")]
+    # and a -inf dB gain is a zero gain
+    path.write_text(yaml.safe_dump(tiny_config_dict(
+        scene=dict(scene, gain_ap_pr={"db": float("-inf"), "phase_deg": 0.0}))))
+    assert load_config(path).make_scene(np.random.default_rng(0)).gain_ap_pr == 0
+
+
+def _wrong_kind(hint):
+    """A value the type rule must reject for annotation hint, or None when the
+    rule has no case for the annotation."""
+    if typing.get_origin(hint) is typing.Union:  # Optional[X]
+        return _wrong_kind(typing.get_args(hint)[0])
+    if typing.get_origin(hint) is collections.abc.Sequence:
+        return 5.0  # a scalar
+    if hint in (int, float, complex, signal_model.Decibels):
+        return True
+    if hint is bool:
+        return "x"
+    if hint is str:
+        return 5
+    return 5 if isinstance(hint, type) else None
+
+
+CONFIG_BUILDERS = {ArraySpec: lambda: ArraySpec(8), SceneConfig: make_scene,
+                   LocalizerConfig: LocalizerConfig,
+                   ExperimentConfig: lambda: config_from_dict(tiny_config_dict())}
+
+
+@pytest.mark.parametrize("cls, name", [
+    pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
+    for cls in CONFIG_BUILDERS for f in dataclasses.fields(cls)])
+def test_every_config_field_rejects_a_wrong_kind(cls, name):
+    # a field whose annotation the rule does not know fails here, not silently
+    hint = typing.get_type_hints(cls, include_extras=True)[name]
+    wrong = _wrong_kind(hint)
+    if wrong is None:
+        pytest.fail(f"no type rule for {cls.__name__}.{name}: {hint}")
+    # grid goes through np.asarray before the rule, so its ndarray type test
+    # always passes and the 1-D range check is what rejects a wrong kind
+    match = "grid must be a non-empty" if name == "grid" else rf"^{name} must be "
+    with pytest.raises(ValueError, match=match):
+        dataclasses.replace(CONFIG_BUILDERS[cls](), **{name: wrong})
 
 
 def test_scene_gain_phases_follow_field_order():

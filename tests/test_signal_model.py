@@ -335,6 +335,14 @@ def test_scene_rejects_bad_rician_and_gains():
         make_scene(rician_ap_pr=-1.0)
     with pytest.raises(ValueError):
         make_scene(gain_ap_pr=np.inf + 0j)
+    # an infinite K-factor gives NaN channels; steering is undefined at +-90,
+    # even on a zero-gain direct path that is never steered
+    with pytest.raises(ValueError, match="rician_ap_pr"):
+        make_scene(rician_ap_pr=np.inf)
+    for overrides in ({"aoa_ris_pr": 90.0}, {"aoa_ap_pr": -95.0, "gain_ap_pr": 0j},
+                      {"target_aoas_pr": [10.0, -90.0]}):
+        with pytest.raises(ValueError, match=r"\|angle\| < 90"):
+            make_scene(**overrides)
 
 
 def test_noise_model_rejects_negative_variance():
