@@ -4,7 +4,7 @@ baseline, and the per-trial squared error."""
 from __future__ import annotations
 
 import itertools
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -17,44 +17,70 @@ MISS_ERROR_DEG = 90.0  # worst-case padding for missing detections
 
 
 def music_estimate(data: BeamformedData, k_true: int, cfg: LocalizerConfig,
-                   phases: PhaseShiftMatrix, ris: ArraySpec,
-                   aod_ris_pr: float) -> List[float]:
+                   phases: PhaseShiftMatrix, ris: ArraySpec, aod_ris_pr: float,
+                   noise: Optional[np.ndarray] = None, scales: Sequence[float] = ()):
     """Subspace estimates of the k_true RIS-side angles on cfg.grid.
 
-    Sample covariance of the beamformed epochs, noise subspace from the
-    smallest eigenvalues, pseudospectrum against unit-norm scan vectors (the
-    scan vectors of spectrum, with the taper when cfg.include_b), k_true
+    Sample covariance of the beamformed epochs, signal subspace from the
+    k_true largest eigenvalues, pseudospectrum against unit-norm scan vectors
+    (the scan vectors of spectrum, with the taper when cfg.include_b), k_true
     largest local maxima. If the pseudospectrum has fewer interior maxima than
     k_true (degenerate inputs), the largest remaining grid values fill in.
+
+    With noise (N_epoch x L), the acquisitions are data.z + s * noise, one per
+    entry s of scales, and a list of estimates per scale is returned. Their
+    covariances L R(s) = A + s (B + B^H + s C), with A = Z Z^H, B = Z noise^H
+    and C = noise noise^H, share those three products and the scan norms.
+    Without noise, data alone is the single case s = 0 and one list of
+    estimates is returned.
     """
     if not 1 <= k_true < data.n_epoch:
         raise ValueError(f"k_true must satisfy 1 <= k_true < n_epoch, got {k_true}")
     z = data.z
-    r = z @ z.conj().T / data.n_samples
-    r = r + 1e-10 * np.trace(r).real / data.n_epoch * np.eye(data.n_epoch)
-    _, vecs = np.linalg.eigh(r)  # ascending eigenvalues
-    noise_sub = vecs[:, : data.n_epoch - k_true]
+    gram = z @ z.conj().T
+    if noise is None:
+        covariances = [gram]
+    else:
+        cross = z @ noise.conj().T
+        cross += cross.conj().T
+        noise_gram = noise @ noise.conj().T
+        covariances = (gram + s * (cross + s * noise_gram) for s in scales)
     coeff = steering_dictionary(ris, cfg.grid, aod_ris_pr, cfg.include_b)
-    pseudo = 1.0 / np.maximum(_music_denominator(noise_sub, phases.matrix, coeff), 1e-300)
-    order = sorted(_peak_indices(pseudo), key=lambda i: -pseudo[i])
-    picked = order[:k_true]
-    if len(picked) < k_true:
-        rest = [i for i in np.argsort(-pseudo) if i not in picked]
-        picked.extend(rest[: k_true - len(picked)])
-    return sorted(float(cfg.grid[i]) for i in picked)
+    norms = _scan_norms(phases.matrix, coeff)
+    estimates = []
+    for cov in covariances:
+        r = cov / data.n_samples
+        r = r + 1e-10 * np.trace(r).real / data.n_epoch * np.eye(data.n_epoch)
+        _, vecs = np.linalg.eigh(r)  # ascending eigenvalues
+        den = _music_denominator(vecs[:, data.n_epoch - k_true:], phases.matrix, coeff, norms)
+        pseudo = 1.0 / np.maximum(den, 1e-300)
+        order = sorted(_peak_indices(pseudo), key=lambda i: -pseudo[i])
+        picked = order[:k_true]
+        if len(picked) < k_true:
+            rest = [i for i in np.argsort(-pseudo) if i not in picked]
+            picked.extend(rest[: k_true - len(picked)])
+        estimates.append(sorted(float(cfg.grid[i]) for i in picked))
+    return estimates[0] if noise is None else estimates
 
 
-def _music_denominator(noise_sub: np.ndarray, basis: np.ndarray,
-                       coeff: np.ndarray) -> np.ndarray:
-    """||E^H d||^2 / ||d||^2 for every scan vector d = B c, as ||(E^H B) c||^2
-    over Re(c^H (B^H B) c), so no N x grid scan matrix is formed."""
-    proj = (noise_sub.conj().T @ basis) @ coeff
-    norm2 = np.sum(coeff.conj() * ((basis.conj().T @ basis) @ coeff), axis=0).real
-    return np.sum(np.abs(proj) ** 2, axis=0) / norm2
+def _scan_norms(basis: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """||d||^2 for every scan vector d = B c, as Re(c^H (B^H B) c)."""
+    return np.sum(coeff.conj() * ((basis.conj().T @ basis) @ coeff), axis=0).real
 
 
-def no_ris_localize(y_epoch: np.ndarray, cfg: LocalizerConfig,
-                    pr: ArraySpec) -> SpectrumResult:
+def _music_denominator(signal_sub: np.ndarray, basis: np.ndarray, coeff: np.ndarray,
+                       norms: np.ndarray) -> np.ndarray:
+    """||E^H d||^2 / ||d||^2 for every scan vector d = B c, E the noise subspace.
+
+    E E^H = I - S S^H for the orthonormal signal subspace S (its K columns in
+    place of the N - K of E), so this is 1 - ||(S^H B) c||^2 / ||d||^2 with the
+    norms ||d||^2 of _scan_norms, and no N x grid scan matrix is formed.
+    """
+    proj = (signal_sub.conj().T @ basis) @ coeff
+    return 1.0 - np.sum(np.abs(proj) ** 2, axis=0) / norms
+
+
+def no_ris_localize(y_epoch: np.ndarray, cfg: LocalizerConfig, pr: ArraySpec):
     """Algorithm variant without the RIS: NLMS on raw array snapshots.
 
     y_epoch is a single N_PR x L epoch containing only direct paths; the scan
@@ -62,18 +88,27 @@ def no_ris_localize(y_epoch: np.ndarray, cfg: LocalizerConfig,
     so peaks land at the PR-side target angles. The recursion is the one of
     localizer.spectrum with the snapshots y_l in place of z_l, on the basis
     B = I: a_hat = A D with A = nlms_adapt(y_epoch, I), one matmul for the grid.
+    A stack of epochs (S x N_PR x L) is scanned in one nlms_adapt call and
+    gives a list of S results, each equal to the call on its epoch.
     """
     y_epoch = np.asarray(y_epoch, dtype=complex)
-    if y_epoch.ndim != 2 or y_epoch.shape[0] != pr.elements:
-        raise ValueError(f"y_epoch must be {pr.elements} x L, got shape {y_epoch.shape}")
+    if y_epoch.ndim not in (2, 3) or y_epoch.shape[-2] != pr.elements:
+        raise ValueError(f"y_epoch must be {pr.elements} x L or a stack of such epochs, "
+                         f"got shape {y_epoch.shape}")
     return _scan_result(y_epoch, np.eye(pr.elements), steering_dictionary(pr, cfg.grid), cfg)
 
 
 def select_estimates(result: SpectrumResult, k: int) -> List[float]:
-    """Up to k detected peaks, strongest first, returned in ascending angle."""
-    ranked = sorted(result.peaks, key=lambda t: -result.normalized[
-        int(np.argmin(np.abs(result.grid - t)))])
-    return sorted(ranked[:k])
+    """Up to k detected peaks, strongest first, returned in ascending angle.
+
+    A peak's height is read at its nearest grid point (the lower one on a
+    tie, as argmin(|grid - t|) picks), found for all peaks with one search of
+    the grid midpoints; equal heights keep the order of result.peaks.
+    """
+    grid = np.asarray(result.grid, dtype=float)
+    nearest = np.searchsorted((grid[:-1] + grid[1:]) / 2, result.peaks)
+    ranked = np.argsort(-result.normalized[nearest], kind="stable")
+    return sorted(result.peaks[i] for i in ranked[:k])
 
 
 def trial_error(true_aoas: Sequence[float], estimates: Sequence[float]):

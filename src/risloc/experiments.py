@@ -311,26 +311,39 @@ def _sweep_trial(cfg: ExperimentConfig, m_index: int, m_elements: int,
     e1 = complex_normal(y0_nr.shape, rng)
     w_norm = np.linalg.norm(w)
 
+    # sigma at the PR, sigma * ||w|| after the beamformer; the RIS NLMS scan
+    # runs per SNR point, MUSIC and the no-RIS scan once over all points
+    sigmas = np.sqrt([noise_variance_for_snr(scene, x_power, snr_db)
+                      for snr_db in cfg.snr_sweep_db])
+    scales = sigmas * w_norm
     k = scene.n_targets
+    per_method = {}
+    if "nlms_ris" in cfg.methods:
+        per_method["nlms_ris"] = [
+            _nlms_pick(spectrum(BeamformedData(z0 + s * ez), cfg.localizer, phases, ris,
+                                scene.aod_ris_pr), k) for s in scales]
+    if "music_ris" in cfg.methods:
+        per_method["music_ris"] = [
+            (est, len(est)) for est in music_estimate(
+                BeamformedData(z0), k, cfg.localizer, phases, ris, scene.aod_ris_pr,
+                noise=ez, scales=scales)]
+    if "nlms_no_ris" in cfg.methods:
+        per_method["nlms_no_ris"] = [
+            _nlms_pick(res, k) for res in no_ris_localize(
+                y0_nr + sigmas[:, None, None] * e1, cfg.localizer, cfg.pr)]
+
     rows = []
-    for snr_db in cfg.snr_sweep_db:
-        sigma = np.sqrt(noise_variance_for_snr(scene, x_power, snr_db))
-        data = BeamformedData(z0 + sigma * w_norm * ez)
+    for i, snr_db in enumerate(cfg.snr_sweep_db):
         for method in cfg.methods:
-            truths = scene.target_aoas_ris
-            if method == "nlms_ris":
-                res = spectrum(data, cfg.localizer, phases, ris, scene.aod_ris_pr)
-                est, detected = select_estimates(res, k), res.k_hat
-            elif method == "music_ris":
-                est = music_estimate(data, k, cfg.localizer, phases, ris, scene.aod_ris_pr)
-                detected = len(est)
-            else:  # nlms_no_ris
-                res = no_ris_localize(y0_nr + sigma * e1, cfg.localizer, cfg.pr)
-                est, detected = select_estimates(res, k), res.k_hat
-                truths = scene.target_aoas_pr
+            truths = scene.target_aoas_pr if method == "nlms_no_ris" else scene.target_aoas_ris
+            est, detected = per_method[method][i]
             mse, flagged = trial_error(truths, est)
             rows.append((trial, method, float(snr_db), m_elements, mse, detected, flagged))
     return rows
+
+
+def _nlms_pick(res: SpectrumResult, k: int):
+    return select_estimates(res, k), res.k_hat
 
 
 def run_mse_sweep(cfg: ExperimentConfig, seed: Optional[int] = None,

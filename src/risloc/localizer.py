@@ -98,26 +98,38 @@ def nlms_adapt(z: np.ndarray, basis: np.ndarray, cfg: LocalizerConfig) -> np.nda
     forward substitution: y_l = c_l (z_l^H B - G[l, :l] Y[:l]) with the Gram
     matrix G = Z^H Z, l x M work per snapshot. Nothing divides by mu, so
     mu = 0 gives X = 0 exactly.
+
+    z may also be a stack (S x N x L) of snapshot sets, adapted independently
+    in one pass over l; slice s of the S x N x M result is bit for bit the
+    call on z[s].
     """
     z = np.asarray(z, dtype=complex)
-    zh = z.conj().T  # row l is z_l^H
+    zh = z.conj().swapaxes(-1, -2)  # row l is z_l^H
     gram = zh @ z
     y = zh @ basis  # row l is z_l^H B, overwritten by y_l
-    steps = cfg.mu / _step_denominator(z, cfg, axis=0)
-    for ell in range(z.shape[1]):
-        y[ell] -= gram[ell, :ell] @ y[:ell]
-        y[ell] *= steps[ell]
+    steps = (cfg.mu / _step_denominator(z, cfg, axis=-2))[..., None]
+    for ell in range(z.shape[-1]):
+        row = y[..., ell:ell + 1, :]
+        row -= gram[..., ell:ell + 1, :ell] @ y[..., :ell, :]
+        row *= steps[..., ell:ell + 1, :]
     return z @ y
 
 
-def _scan_result(z, basis, coeff, cfg: LocalizerConfig) -> SpectrumResult:
+def _scan_result(z, basis, coeff, cfg: LocalizerConfig):
     """NLMS spectrum of snapshots z (N x L) against scan vectors D = B C.
 
     P(theta) = ||a_hat_L(theta)||^2 = ||X c(theta)||^2 with X = nlms_adapt(z, B),
     normalized to its maximum, with peaks above cfg.threshold. An all-zero
-    spectrum is reported as degenerate.
+    spectrum is reported as degenerate. A stack z (S x N x L) is scanned with
+    one nlms_adapt call and gives a list of S results.
     """
-    power = np.sum(np.abs(nlms_adapt(z, basis, cfg) @ coeff) ** 2, axis=0)
+    power = np.sum(np.abs(nlms_adapt(z, basis, cfg) @ coeff) ** 2, axis=-2)
+    if power.ndim > 1:
+        return [_spectrum_result(p, cfg) for p in power]
+    return _spectrum_result(power, cfg)
+
+
+def _spectrum_result(power: np.ndarray, cfg: LocalizerConfig) -> SpectrumResult:
     peak = power.max() if power.size else 0.0
     if peak <= 0.0:
         return SpectrumResult(cfg.grid, power, np.zeros_like(power), [],
@@ -167,7 +179,7 @@ def _peak_indices(values: np.ndarray, phi: float = -np.inf) -> list:
     v = np.asarray(values)
     if v.size < 3:
         return []
-    starts = np.flatnonzero(np.r_[True, v[1:] != v[:-1]])
+    starts = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
     runs = v[starts]
     keep = (runs[1:-1] > runs[:-2]) & (runs[1:-1] > runs[2:]) & (runs[1:-1] > phi)
     return starts[1:-1][keep].tolist()

@@ -9,7 +9,7 @@ from risloc import (MISS_ERROR_DEG, ArraySpec, BeamformedData, LocalizerConfig,
                     SpectrumResult, music_estimate,
                     no_ris_localize, select_estimates, steering_vector,
                     trial_error)
-from risloc.benchmarks import _music_denominator
+from risloc.benchmarks import _music_denominator, _scan_norms
 from risloc.localizer import scan_vector
 from risloc.ris_optimizer import PhaseShiftMatrix
 from risloc.signal_model import steering_dictionary
@@ -114,13 +114,56 @@ def test_factored_music_denominator_equals_explicit_form(n, m, k, grid, aod,
     phases = unit_phases(seed, n, m)
     r = np.random.default_rng(seed)
     q, _ = np.linalg.qr(r.standard_normal((n, n)) + 1j * r.standard_normal((n, n)))
-    noise_sub = q[:, : n - k]
+    # the signal-subspace form 1 - ||S^H d||^2 / ||d||^2 against the explicit
+    # ||E^H d||^2 / ||d||^2, with E and S complementary columns of one unitary
+    noise_sub, signal_sub = q[:, : n - k], q[:, n - k:]
     d = np.stack([scan_vector(t, phases, ris, aod, include_b) for t in grid], axis=1)
     d = d / np.linalg.norm(d, axis=0)
     ref = np.sum(np.abs(noise_sub.conj().T @ d) ** 2, axis=0)
-    got = _music_denominator(noise_sub, phases.matrix,
-                             steering_dictionary(ris, grid, aod, include_b))
+    coeff = steering_dictionary(ris, grid, aod, include_b)
+    got = _music_denominator(signal_sub, phases.matrix, coeff,
+                             _scan_norms(phases.matrix, coeff))
     assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(ref)
+
+
+def explicit_music(z, k, cfg, phases, ris, aod):
+    """MUSIC written out: noise subspace E of the loaded sample covariance,
+    pseudospectrum 1 / ||E^H d||^2 over explicit unit-norm scan vectors."""
+    n, n_samples = z.shape
+    r = z @ z.conj().T / n_samples
+    r = r + 1e-10 * np.trace(r).real / n * np.eye(n)
+    noise_sub = np.linalg.eigh(r)[1][:, : n - k]
+    d = np.stack([scan_vector(t, phases, ris, aod, cfg.include_b) for t in cfg.grid], axis=1)
+    d = d / np.linalg.norm(d, axis=0)
+    pseudo = 1.0 / np.maximum(np.sum(np.abs(noise_sub.conj().T @ d) ** 2, axis=0), 1e-300)
+    peaks = [i for i in range(1, pseudo.size - 1)
+             if pseudo[i - 1] < pseudo[i] > pseudo[i + 1]]
+    return sorted(float(cfg.grid[i]) for i in sorted(peaks, key=lambda i: -pseudo[i])[:k])
+
+
+@given(n=st.integers(6, 12), m=st.integers(8, 16), seed=st.integers(0, 2 ** 32 - 1),
+       thetas=st.sampled_from([[25.0], [-40.0, 15.0], [-45.0, -10.0, 30.0]]),
+       scales=st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_music_over_scales_equals_one_call_per_acquisition(n, m, seed, thetas, scales):
+    # the sweep's form: one call for the acquisitions z0 + s * noise, with the
+    # noise-free s = 0 (an SNR of +inf) first; its picks must be those of one
+    # call per acquisition, and of the explicit noise-subspace form
+    ris = ArraySpec(m)
+    phases = unit_phases(seed, n, m)
+    z0 = source_data(phases, ris, thetas, 20.0, seed=seed, n_samples=60).z
+    r = np.random.default_rng(seed + 1)
+    noise = (r.standard_normal(z0.shape) + 1j * r.standard_normal(z0.shape)) / np.sqrt(2)
+    scales = [0.0] + scales
+    k = len(thetas)
+    got = music_estimate(BeamformedData(z0), k, CFG, phases, ris, 20.0,
+                         noise=noise, scales=scales)
+    assert len(got) == len(scales)
+    for s, est in zip(scales, got):
+        acquisition = z0 + s * noise
+        assert est == music_estimate(BeamformedData(acquisition), k, CFG, phases, ris, 20.0)
+        assert est == explicit_music(acquisition, k, CFG, phases, ris, 20.0)
+    assert got[0] == sorted(thetas)
 
 
 # ------------------------------------------------------------------ no-RIS
@@ -149,6 +192,28 @@ def test_no_ris_rejects_wrong_shape():
         no_ris_localize(np.zeros((4, 50), dtype=complex), cfg, pr)
 
 
+@given(stack=st.integers(1, 5), n=st.integers(1, 8), n_samples=st.integers(1, 40),
+       mu=st.one_of(st.just(0.0), st.floats(0.0, 1.0)), textbook=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_stacked_no_ris_equals_per_epoch_calls(stack, n, n_samples, mu, textbook, seed):
+    # the sweep scans every SNR point's epoch in one call; a zero epoch in
+    # the stack stays degenerate on its own
+    pr = ArraySpec(n)
+    cfg = LocalizerConfig(mu=mu, grid=GRID, textbook_norm=textbook)
+    r = np.random.default_rng(seed)
+    y = r.standard_normal((stack, n, n_samples)) + 1j * r.standard_normal((stack, n, n_samples))
+    y[0] = 0.0
+    got = no_ris_localize(y, cfg, pr)
+    assert len(got) == stack
+    for epoch, res in zip(y, got):
+        ref = no_ris_localize(epoch, cfg, pr)
+        assert np.array_equal(res.power, ref.power)
+        assert np.array_equal(res.normalized, ref.normalized)
+        assert res.peaks == ref.peaks and res.degenerate == ref.degenerate
+    assert got[0].degenerate
+
+
 # ------------------------------------------------------------------ scoring
 
 def make_result(peaks, heights):
@@ -163,6 +228,26 @@ def test_select_estimates_prefers_strong_peaks():
     assert select_estimates(res, 2) == [-10.0, 5.0]
     assert select_estimates(res, 1) == [5.0]
     assert select_estimates(res, 5) == [-10.0, 5.0, 40.0]
+
+
+@given(grid=st.lists(st.integers(-170, 170), min_size=1, max_size=20, unique=True),
+       heights=st.lists(st.sampled_from([0.2, 0.5, 0.5, 1.0]), min_size=20, max_size=20),
+       picks=st.lists(st.integers(0, 19), max_size=8, unique=True),
+       offset=st.sampled_from([0.0, 0.125, -0.125, 0.5]), k=st.integers(0, 9))
+@settings(max_examples=200, deadline=None)
+def test_select_estimates_equals_a_search_per_peak(grid, heights, picks, offset, k):
+    # peaks on the grid, off it, or halfway between two grid points (where
+    # argmin takes the lower one), with tied heights: the one vectorized
+    # lookup must rank as one argmin(|grid - t|) per peak did
+    grid = np.sort(np.asarray(grid, dtype=float)) / 2.0
+    if offset == 0.5:  # the midpoints
+        peaks = [float(grid[i] + grid[i + 1]) / 2 for i in picks if i + 1 < grid.size]
+    else:
+        peaks = [float(grid[i]) + offset for i in picks if i < grid.size]
+    res = SpectrumResult(grid=grid, power=np.asarray(heights[: grid.size]),
+                         normalized=np.asarray(heights[: grid.size]), peaks=peaks)
+    ranked = sorted(peaks, key=lambda t: -res.normalized[int(np.argmin(np.abs(grid - t)))])
+    assert select_estimates(res, k) == sorted(ranked[:k])
 
 
 def test_trial_error_exact_pairing():

@@ -9,13 +9,16 @@ import pytest
 import yaml
 
 import risloc.signal_model as signal_model
-from risloc import (ArraySpec, ExperimentConfig, LocalizerConfig, NoiseModel, SceneConfig,
-                    beamform, cli, generate_waveform, matched_weight, pr_received,
-                    ris_incident, ris_reflect, simulate_epochs)
+from risloc import (ArraySpec, BeamformedData, ExperimentConfig, LocalizerConfig,
+                    NoiseModel, SceneConfig, beamform, cli, generate_waveform,
+                    matched_weight, music_estimate, no_ris_localize, pr_received,
+                    ris_incident, ris_reflect, select_estimates, simulate_epochs, spectrum,
+                    trial_error)
 from risloc.experiments import (TRIALS_CSV_HEADER, _no_ris_epoch, _parse_gain,
-                                beamformed_epochs, config_from_dict, load_config,
-                                noise_variance_for_snr, run_beampattern, run_mse_sweep,
-                                run_spectrum, trial_rng)
+                                _sweep_trial, beamformed_epochs, build_phases,
+                                config_from_dict, load_config, noise_variance_for_snr,
+                                run_beampattern, run_mse_sweep, run_spectrum, trial_rng)
+from risloc.signal_model import complex_normal
 from risloc.ris_optimizer import PhaseShiftMatrix
 
 from conftest import make_scene
@@ -356,6 +359,52 @@ def test_sweep_outputs_and_reproducibility(tmp_path):
     agg_head = (tmp_path / "a" / "mse_sweep.csv").read_text().split("\n")[0]
     assert agg_head == "snr_db,method,m_elements,mse_deg2,flagged_fraction"
     assert len(rows1) == 6
+
+
+def _sweep_trial_per_snr_point(cfg, m_index, m_elements, trial):
+    """_sweep_trial's rows with one scan per SNR point and method: the same
+    draws, then every acquisition formed and scanned on its own."""
+    rng = trial_rng(cfg.seed, m_index, trial)
+    scene = cfg.make_scene(rng)
+    ris = ArraySpec(m_elements, cfg.ris.spacing)
+    phases = build_phases(cfg, scene, ris, rng)
+    waveform = generate_waveform(cfg.n_samples, rng, cfg.waveform_kind)
+    w = matched_weight(cfg.pr, scene.aoa_ris_pr)
+    z0, x_power = beamformed_epochs(scene, waveform, phases, ris, cfg.pr, w, rng)
+    y0_nr = _no_ris_epoch(scene, waveform, cfg.pr, rng)
+    ez, e1 = complex_normal(z0.shape, rng), complex_normal(y0_nr.shape, rng)
+    k, aod = scene.n_targets, scene.aod_ris_pr
+    rows = []
+    for snr_db in cfg.snr_sweep_db:
+        sigma = np.sqrt(noise_variance_for_snr(scene, x_power, snr_db))
+        data = BeamformedData(z0 + sigma * np.linalg.norm(w) * ez)
+        for method in cfg.methods:
+            truths = scene.target_aoas_ris
+            if method == "nlms_ris":
+                res = spectrum(data, cfg.localizer, phases, ris, aod)
+                est, detected = select_estimates(res, k), res.k_hat
+            elif method == "music_ris":
+                est = music_estimate(data, k, cfg.localizer, phases, ris, aod)
+                detected = len(est)
+            else:
+                res = no_ris_localize(y0_nr + sigma * e1, cfg.localizer, cfg.pr)
+                est, detected = select_estimates(res, k), res.k_hat
+                truths = scene.target_aoas_pr
+            mse, flagged = trial_error(truths, est)
+            rows.append((trial, method, float(snr_db), m_elements, mse, detected, flagged))
+    return rows
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"snr_sweep_db": [float("inf"), -20.0, 0.0, 20.0]},
+    {"methods": ["nlms_no_ris", "music_ris"]}])
+def test_sweep_trial_equals_one_scan_per_snr_point(overrides):
+    # MUSIC and the no-RIS scan run once per trial over all SNR points; the
+    # rows, +inf SNR (scale 0) included, are those of one scan per point
+    cfg = config_from_dict(tiny_config_dict(**overrides))
+    for trial in range(3):
+        assert (_sweep_trial(cfg, 0, 8, trial)
+                == _sweep_trial_per_snr_point(cfg, 0, 8, trial))
 
 
 def test_sweep_parallel_matches_serial(tmp_path):

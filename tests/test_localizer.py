@@ -246,6 +246,25 @@ def test_kernel_matches_extended_precision_recursion(n, m, n_samples, mu, textbo
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@given(stack=st.integers(1, 5), m=st.integers(1, 8), **_kernel_cases)
+@example(stack=3, m=4, n=5, n_samples=12, grid=[0.0], mu=0.0, textbook=False, seed=1)
+@example(stack=3, m=4, n=5, n_samples=12, grid=[0.0], mu=0.5, textbook=True, seed=1)
+@settings(max_examples=100, deadline=None)
+def test_stacked_kernel_equals_per_slice_calls(stack, n, m, n_samples, grid, mu,
+                                               textbook, seed):
+    # a stack of snapshot sets is adapted in one pass; each slice must be bit
+    # for bit the 2-D call, the form localizer.spectrum runs
+    cfg = LocalizerConfig(mu=mu, textbook_norm=textbook)
+    z = np.stack([_random_snapshots(seed + i, n, n_samples) for i in range(stack)])
+    basis = unit_phases(seed, n, m).matrix
+    got = nlms_adapt(z, basis, cfg)
+    assert got.shape == (stack, n, m)
+    for zs, xs in zip(z, got):
+        assert np.array_equal(xs, nlms_adapt(zs, basis, cfg))
+    if mu == 0.0:
+        assert not np.any(got)
+
+
 def test_noiseless_single_source_dominates(rng):
     ris = ArraySpec(32)
     phases = unit_phases(7, 48, 32)
