@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Run the Monte-Carlo MSE-vs-SNR sweep with the shipped config.
 
-Pass --parallel N to fan trials out over N processes.
+Takes the flags of `risloc mse-sweep` (--config, --seed, --out); --config
+defaults to configs/mse_sweep.yaml next to this script.
 """
 
 import os

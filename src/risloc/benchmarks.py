@@ -37,6 +37,11 @@ def music_estimate(data: BeamformedData, k_true: int, cfg: LocalizerConfig,
     if not 1 <= k_true < data.n_epoch:
         raise ValueError(f"k_true must satisfy 1 <= k_true < n_epoch, got {k_true}")
     z = data.z
+    if noise is None and len(scales):
+        raise ValueError(f"scales ({len(scales)} entries) need a noise array, got noise=None")
+    if noise is not None and np.shape(noise) != z.shape:
+        raise ValueError(f"noise must have the shape {z.shape} of data.z, "
+                         f"got {np.shape(noise)}")
     gram = z @ z.conj().T
     if noise is None:
         covariances = [gram]

@@ -8,13 +8,6 @@ from typing import Optional, Sequence
 from .experiments import load_config, run_beampattern, run_mse_sweep, run_spectrum
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="risloc",
@@ -32,8 +25,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("mse-sweep", help="Monte-Carlo MSE vs SNR sweep")
     common(p_sweep)
-    p_sweep.add_argument("--parallel", type=positive_int, default=1,
-                         help="worker processes (1 = serial)")
 
     p_beam = sub.add_parser("beampattern", help="beampattern per AP placement")
     common(p_beam)
@@ -48,8 +39,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"detected {result.k_hat} peak(s): "
               + ", ".join(f"{p:.2f}" for p in result.peaks))
     elif args.command == "mse-sweep":
-        rows = run_mse_sweep(cfg, seed=args.seed, out_dir=args.out,
-                             parallel=args.parallel)
+        rows = run_mse_sweep(cfg, seed=args.seed, out_dir=args.out)
         print(f"wrote {len(rows)} aggregate rows")
     elif args.command == "beampattern":
         summary = run_beampattern(cfg, seed=args.seed, out_dir=args.out)

@@ -8,8 +8,7 @@ import dataclasses
 import itertools
 import json
 import os
-from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -26,6 +25,7 @@ from .signal_model import (WAVEFORM_KINDS, ArraySpec, Decibels, SceneConfig, Wav
                            generate_waveform, ris_incident, steering_matrix, steering_vector)
 
 TRIALS_CSV_HEADER = "trial,method,snr_db,m_elements,mse_deg2,detected_count,flagged"
+PLACEMENT_CSV = "beampattern_ap{:+g}.csv"  # one beampattern CSV per AP placement
 
 
 def _parse_gain(spec, rng: Optional[np.random.Generator]) -> complex:
@@ -90,8 +90,9 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.n_epoch < 1 or self.n_samples < 1:
             raise ValueError("n_epoch and n_samples must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name in ("seed", "refine_rounds"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if -np.inf in (self.snr_db, *self.snr_sweep_db):  # +inf is noise-free
             raise ValueError("snr_db and snr_sweep_db entries must not be -inf")
         check_angles("beampattern_placements", self.beampattern_placements)
@@ -103,6 +104,13 @@ class ExperimentConfig:
         if self.m_sweep is not None and not (self.m_sweep and all(m >= 1 for m in self.m_sweep)):
             raise ValueError("m_sweep must be null or a non-empty list of integers >= 1, "
                              f"got {self.m_sweep!r}")
+        # a repeat would write its sweep cells twice, or overwrite a placement's CSV
+        for where, values in (("m_sweep", self.m_sweep or ()), ("snr_sweep_db", self.snr_sweep_db),
+                              ("methods", self.methods), ("beampattern_placements CSV names",
+                               map(PLACEMENT_CSV.format, self.beampattern_placements))):
+            repeated = sorted(str(v) for v, n in Counter(values).items() if n > 1)
+            if repeated:
+                raise ValueError(f"{where} must be distinct, repeated: {', '.join(repeated)}")
 
     def make_scene(self, rng: Optional[np.random.Generator] = None) -> SceneConfig:
         """The scene: block as a SceneConfig. Entries are parsed in field order,
@@ -347,7 +355,7 @@ def _nlms_pick(res: SpectrumResult, k: int):
 
 
 def run_mse_sweep(cfg: ExperimentConfig, seed: Optional[int] = None,
-                  out_dir: Optional[str] = None, parallel: int = 1):
+                  out_dir: Optional[str] = None):
     """Monte-Carlo MSE vs SNR for every configured method and RIS size.
 
     Writes the per-trial stream (trials.csv), the aggregate table
@@ -359,20 +367,15 @@ def run_mse_sweep(cfg: ExperimentConfig, seed: Optional[int] = None,
         cfg = dataclasses.replace(cfg, seed=seed)
     m_list = list(cfg.m_sweep) if cfg.m_sweep else [cfg.ris.elements]
 
-    jobs = [(mi, m, t) for mi, m in enumerate(m_list) for t in range(cfg.trials)]
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            chunks = list(pool.map(_sweep_trial, itertools.repeat(cfg), *zip(*jobs),
-                                   chunksize=4))
-    else:
-        chunks = [_sweep_trial(cfg, mi, m, t) for mi, m, t in jobs]
+    rows = [row for mi, m in enumerate(m_list) for t in range(cfg.trials)
+            for row in _sweep_trial(cfg, mi, m, t)]
 
     out = out_dir if out_dir is not None else cfg.out_dir
     os.makedirs(out, exist_ok=True)
     cells = defaultdict(list)  # (m, method, snr_db) -> [(mse, flagged)] in trial order
     with open(os.path.join(out, "trials.csv"), "w") as fh:
         fh.write(TRIALS_CSV_HEADER + "\n")
-        for trial, method, snr_db, m, mse, detected, flagged in itertools.chain(*chunks):
+        for trial, method, snr_db, m, mse, detected, flagged in rows:
             fh.write(f"{trial},{method},{snr_db:.10g},{m},{mse:.10g},{detected},"
                      f"{int(flagged)}\n")
             cells[m, method, snr_db].append((mse, flagged))
@@ -423,7 +426,7 @@ def run_beampattern(cfg: ExperimentConfig, seed: Optional[int] = None,
         notch = beampattern(phases, scene.aod_ris_pr, cfg.ris, [placement])[0]
         notch_db = 10.0 * np.log10(max(notch, 1e-300) / peak)
         off = pat_db[np.abs(grid - placement) > 3.0]
-        name = f"beampattern_ap{placement:+g}.csv"
+        name = PLACEMENT_CSV.format(placement)
         with open(os.path.join(out, name), "w") as fh:
             fh.write("theta_deg,b_normalized_db\n")
             for t, v in zip(grid, pat_db):

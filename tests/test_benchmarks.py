@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,14 @@ def test_music_validates_model_order():
         music_estimate(data, 0, CFG, phases, ris, 20.0)
     with pytest.raises(ValueError):
         music_estimate(data, 4, CFG, phases, ris, 20.0)
+    # scales without noise, or noise of another shape than data.z, fail
+    # with a message naming them rather than being ignored or failing in matmul
+    with pytest.raises(ValueError, match="scales .*noise=None"):
+        music_estimate(data, 1, CFG, phases, ris, 20.0, scales=[0.0, 1.0, 2.0])
+    for noise in (np.zeros((4, 7)), np.zeros(data.z.shape[1]), np.zeros(data.z.shape[::-1])):
+        with pytest.raises(ValueError, match=rf"noise must have the shape \(4, 120\) .*"
+                                             rf"{re.escape(str(noise.shape))}"):
+            music_estimate(data, 1, CFG, phases, ris, 20.0, noise=noise, scales=[1.0])
 
 
 def test_music_always_returns_requested_count():

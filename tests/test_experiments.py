@@ -2,6 +2,7 @@ import collections.abc
 import dataclasses
 import json
 import os
+import shlex
 import typing
 
 import numpy as np
@@ -196,6 +197,15 @@ def test_unknown_config_keys_fail_at_load(tmp_path):
             ({"scene": dict(scene, rician_ap_pr=float("inf"))}, "rician_ap_pr"),
             ({"scene": dict(scene, rician_targets_pr=[float("inf"), 1.0])}, "rician_targets_pr"),
             ({"seed": -1}, "seed must be >= 0"),
+            ({"refine_rounds": -1}, "refine_rounds must be >= 0"),
+            # a repeated entry would write its sweep cells twice, or two
+            # placements one CSV (10 and 10.0000001 both name beampattern_ap+10.csv)
+            ({"m_sweep": [16, 16]}, "m_sweep must be distinct, repeated: 16"),
+            ({"snr_sweep_db": [0.0, 0]}, "snr_sweep_db must be distinct"),
+            ({"methods": ["nlms_ris", "nlms_ris"]}, "methods must be distinct"),
+            ({"beampattern_placements": [10.0, 10.0]}, r"beampattern_ap\+10.csv"),
+            ({"beampattern_placements": [10.0, -30.0, 10.0000001]},
+             r"beampattern_placements CSV names must be distinct, repeated: beampattern_ap\+10"),
             ({"snr_db": float("-inf")}, "snr_db"),
             ({"snr_sweep_db": [float("-inf"), 0.0]}, "snr_sweep_db"),
             # an integer too large for a float
@@ -407,14 +417,6 @@ def test_sweep_trial_equals_one_scan_per_snr_point(overrides):
                 == _sweep_trial_per_snr_point(cfg, 0, 8, trial))
 
 
-def test_sweep_parallel_matches_serial(tmp_path):
-    cfg = config_from_dict(tiny_config_dict())
-    run_mse_sweep(cfg, out_dir=str(tmp_path / "ser"), parallel=1)
-    run_mse_sweep(cfg, out_dir=str(tmp_path / "par"), parallel=2)
-    assert (tmp_path / "ser" / "trials.csv").read_bytes() \
-        == (tmp_path / "par" / "trials.csv").read_bytes()
-
-
 def test_sweep_noiseless_strong_targets_hit_grid(tmp_path):
     # noise-free single trial with strong, LoS-dominated paths: every method
     # must land within one grid step of the truth. The shared waveform makes
@@ -500,26 +502,13 @@ def test_cli_seed_override_changes_run(tmp_path):
         != (tmp_path / "s2" / "spectrum.csv").read_bytes()
 
 
-def test_cli_sweep_parallel_flag(tmp_path):
+def test_cli_sweep_smoke(tmp_path):
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump(tiny_config_dict()))
     out = tmp_path / "out"
-    rc = cli.main(["mse-sweep", "--config", str(path), "--out", str(out),
-                   "--parallel", "2"])
+    rc = cli.main(["mse-sweep", "--config", str(path), "--out", str(out)])
     assert rc == 0
     assert (out / "trials.csv").exists() and (out / "mse_sweep.csv").exists()
-
-
-@pytest.mark.parametrize("workers", ["0", "-2"])
-def test_cli_rejects_parallel_below_one(tmp_path, workers):
-    path = tmp_path / "cfg.yaml"
-    path.write_text(yaml.safe_dump(tiny_config_dict()))
-    out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["mse-sweep", "--config", str(path), "--out", str(out),
-                  "--parallel", workers])
-    assert exc.value.code == 2
-    assert not out.exists()
 
 
 def test_cli_beampattern_smoke(tmp_path):
@@ -536,3 +525,17 @@ def test_cli_beampattern_smoke(tmp_path):
 def test_cli_rejects_missing_subcommand():
     with pytest.raises(SystemExit):
         cli.main([])
+
+
+def test_readme_quick_start_commands_parse():
+    # the documented commands must match the parser, so a removed flag
+    # cannot outlive it in the README
+    root = os.path.join(os.path.dirname(__file__), "..")
+    with open(os.path.join(root, "README.md")) as fh:
+        quick_start = fh.read().split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    commands = [shlex.split(line) for line in quick_start.splitlines()
+                if line.startswith("risloc ")]
+    assert [c[1] for c in commands] == ["spectrum", "mse-sweep", "beampattern"]
+    for command in commands:
+        args = cli.build_parser().parse_args(command[1:])
+        assert os.path.exists(os.path.join(root, args.config))
