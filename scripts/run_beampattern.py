@@ -9,7 +9,6 @@ from risloc.cli import main
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 if __name__ == "__main__":
-    argv = list(sys.argv[1:])
-    if "--config" not in argv:
-        argv = ["--config", os.path.join(HERE, "configs", "beampattern.yaml")] + argv
-    raise SystemExit(main(["beampattern"] + argv))
+    # argparse keeps the last --config, so one given here overrides the default
+    default = os.path.join(HERE, "configs", "beampattern.yaml")
+    raise SystemExit(main(["beampattern", "--config", default, *sys.argv[1:]]))

@@ -183,20 +183,29 @@ def load_config(path) -> ExperimentConfig:
         raise ValueError(f"config {path}: {exc}") from exc
 
 
-def trial_rng(master_seed: int, m_index: int, trial: int) -> np.random.Generator:
-    """Documented per-trial stream: spawn_key = (m_index, trial).
-
-    The SNR index is deliberately not part of the key, so every point of a
-    sweep reuses the same channel/noise draws scaled to its own variance.
-    """
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=master_seed, spawn_key=(m_index, trial)))
+def trial_rng(master_seed: int, *key: int) -> np.random.Generator:
+    """The seed tree, the only maker of a run's Generator: key () for spectrum,
+    (placement index,) for beampattern and (m_index, trial) for a sweep trial.
+    The SNR index is deliberately not part of a sweep key, so every point of
+    a sweep reuses the same channel/noise draws scaled to its own variance."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=key))
 
 
 def build_phases(cfg: ExperimentConfig, scene: SceneConfig, ris: ArraySpec,
                  rng: np.random.Generator) -> PhaseShiftMatrix:
     return solve_phase_shifts(suppression_target(scene, ris), cfg.n_epoch, rng,
                               init=cfg.ris_init, refine_rounds=cfg.refine_rounds)
+
+
+def _acquisition(cfg: ExperimentConfig, ris: ArraySpec, rng: np.random.Generator):
+    """Scene, phases, waveform, matched weight w, and Z0 and mean |x_n(t)|^2 of
+    beamformed_epochs: one noise-free acquisition, drawn from rng in that order."""
+    scene = cfg.make_scene(rng)
+    phases = build_phases(cfg, scene, ris, rng)
+    waveform = generate_waveform(cfg.n_samples, rng, cfg.waveform_kind)
+    w = matched_weight(cfg.pr, scene.aoa_ris_pr)
+    z0, x_power = beamformed_epochs(scene, waveform, phases, ris, cfg.pr, w, rng)
+    return scene, phases, waveform, w, z0, x_power
 
 
 def _direct_fading(scene: SceneConfig, pr: ArraySpec, n_epoch: int,
@@ -260,6 +269,21 @@ def noise_variance_for_snr(scene: SceneConfig, x_power: float, snr_db: float) ->
     return sig / (10.0 ** (snr_db / 10.0))
 
 
+def _seed_and_out_dir(cfg: ExperimentConfig, seed: Optional[int], out_dir: Optional[str]):
+    """A run's master seed and output directory (made if missing): each the
+    override if given, else the config's."""
+    out = cfg.out_dir if out_dir is None else out_dir
+    os.makedirs(out, exist_ok=True)
+    return (cfg.seed if seed is None else seed), out
+
+
+def _write_csv(path, header: str, row_format: str, rows) -> None:
+    """A CSV table: the header line, then row_format.format(*row) per row."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(row_format.format(*row) + "\n" for row in rows)
+
+
 def _write_json(path, payload) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -274,21 +298,17 @@ def run_spectrum(cfg: ExperimentConfig, seed: Optional[int] = None,
 
     Writes spectrum.csv plus a JSON summary with the detected peaks.
     """
-    master = cfg.seed if seed is None else seed
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=master))
-    scene = cfg.make_scene(rng)
-    phases = build_phases(cfg, scene, cfg.ris, rng)
-    waveform = generate_waveform(cfg.n_samples, rng, cfg.waveform_kind)
-    w = matched_weight(cfg.pr, scene.aoa_ris_pr)
-    z0, x_power = beamformed_epochs(scene, waveform, phases, cfg.ris, cfg.pr, w, rng)
+    master, out = _seed_and_out_dir(cfg, seed, out_dir)
+    rng = trial_rng(master)
+    scene, phases, _, w, z0, x_power = _acquisition(cfg, cfg.ris, rng)
     variance = noise_variance_for_snr(scene, x_power, cfg.snr_db)
     data = BeamformedData(z0 + np.sqrt(variance) * np.linalg.norm(w)
                           * complex_normal(z0.shape, rng))
     result = spectrum(data, cfg.localizer, phases, cfg.ris, scene.aod_ris_pr)
 
-    out = out_dir if out_dir is not None else cfg.out_dir
-    os.makedirs(out, exist_ok=True)
-    result.to_csv(os.path.join(out, "spectrum.csv"))
+    columns = (result.grid, result.power, result.normalized, np.isin(result.grid, result.peaks))
+    _write_csv(os.path.join(out, "spectrum.csv"), "theta_deg,power,normalized,is_peak",
+               "{:.6g},{:.12g},{:.12g},{:d}", zip(*(c.tolist() for c in columns)))
     _write_json(os.path.join(out, "spectrum_summary.json"), {
         "seed": master,
         "snr_db": cfg.snr_db,
@@ -307,23 +327,18 @@ def _sweep_trial(cfg: ExperimentConfig, m_index: int, m_elements: int,
     """One trial at every SNR point and method, as trials.csv rows
     (TRIALS_CSV_HEADER order)."""
     rng = trial_rng(cfg.seed, m_index, trial)
-    scene = cfg.make_scene(rng)
     ris = ArraySpec(m_elements, cfg.ris.spacing)
-    phases = build_phases(cfg, scene, ris, rng)
-    waveform = generate_waveform(cfg.n_samples, rng, cfg.waveform_kind)
-    w = matched_weight(cfg.pr, scene.aoa_ris_pr)
-    z0, x_power = beamformed_epochs(scene, waveform, phases, ris, cfg.pr, w, rng)
+    scene, phases, waveform, w, z0, x_power = _acquisition(cfg, ris, rng)
     y0_nr = _no_ris_epoch(scene, waveform, cfg.pr, rng)
     # unit noise drawn once, so every SNR point rescales the same draws
     ez = complex_normal(z0.shape, rng)
     e1 = complex_normal(y0_nr.shape, rng)
-    w_norm = np.linalg.norm(w)
 
     # sigma at the PR, sigma * ||w|| after the beamformer; the RIS NLMS scan
     # runs per SNR point, MUSIC and the no-RIS scan once over all points
     sigmas = np.sqrt([noise_variance_for_snr(scene, x_power, snr_db)
                       for snr_db in cfg.snr_sweep_db])
-    scales = sigmas * w_norm
+    scales = sigmas * np.linalg.norm(w)
     k = scene.n_targets
     per_method = {}
     if "nlms_ris" in cfg.methods:
@@ -363,34 +378,31 @@ def run_mse_sweep(cfg: ExperimentConfig, seed: Optional[int] = None,
     """
     if not cfg.snr_sweep_db:
         raise ValueError("snr_sweep_db must be non-empty")
-    if seed is not None:
-        cfg = dataclasses.replace(cfg, seed=seed)
+    k = len(cfg.scene_spec["target_aoas_ris"])
+    if "music_ris" in cfg.methods and not 1 <= k < cfg.n_epoch:
+        raise ValueError(f"methods include music_ris, which needs 1 <= K < n_epoch; "
+                         f"got K = {k} targets and n_epoch = {cfg.n_epoch}")
+    master, out = _seed_and_out_dir(cfg, seed, out_dir)
+    cfg = dataclasses.replace(cfg, seed=master)
     m_list = list(cfg.m_sweep) if cfg.m_sweep else [cfg.ris.elements]
 
     rows = [row for mi, m in enumerate(m_list) for t in range(cfg.trials)
             for row in _sweep_trial(cfg, mi, m, t)]
+    _write_csv(os.path.join(out, "trials.csv"), TRIALS_CSV_HEADER,
+               "{},{},{:.10g},{},{:.10g},{},{:d}", rows)
 
-    out = out_dir if out_dir is not None else cfg.out_dir
-    os.makedirs(out, exist_ok=True)
     cells = defaultdict(list)  # (m, method, snr_db) -> [(mse, flagged)] in trial order
-    with open(os.path.join(out, "trials.csv"), "w") as fh:
-        fh.write(TRIALS_CSV_HEADER + "\n")
-        for trial, method, snr_db, m, mse, detected, flagged in rows:
-            fh.write(f"{trial},{method},{snr_db:.10g},{m},{mse:.10g},{detected},"
-                     f"{int(flagged)}\n")
-            cells[m, method, snr_db].append((mse, flagged))
-
+    for _, method, snr_db, m, mse, _, flagged in rows:
+        cells[m, method, snr_db].append((mse, flagged))
     aggregate = []
     for m, method, snr_db in itertools.product(m_list, cfg.methods, cfg.snr_sweep_db):
         mse, flagged = zip(*cells[m, method, float(snr_db)])
         aggregate.append({"snr_db": float(snr_db), "method": method, "m_elements": m,
                           "mse_deg2": float(np.mean(mse)),
                           "flagged_fraction": float(np.mean(flagged))})
-    with open(os.path.join(out, "mse_sweep.csv"), "w") as fh:
-        fh.write("snr_db,method,m_elements,mse_deg2,flagged_fraction\n")
-        for row in aggregate:
-            fh.write(f"{row['snr_db']:.10g},{row['method']},{row['m_elements']},"
-                     f"{row['mse_deg2']:.10g},{row['flagged_fraction']:.10g}\n")
+    _write_csv(os.path.join(out, "mse_sweep.csv"),
+               "snr_db,method,m_elements,mse_deg2,flagged_fraction",
+               "{:.10g},{},{},{:.10g},{:.10g}", (row.values() for row in aggregate))
     _write_json(os.path.join(out, "mse_sweep_summary.json"), {
         "seed": cfg.seed, "trials": cfg.trials, "m_sweep": m_list,
         "methods": list(cfg.methods),
@@ -410,14 +422,11 @@ def run_beampattern(cfg: ExperimentConfig, seed: Optional[int] = None,
     """
     if not cfg.beampattern_placements:
         raise ValueError("beampattern_placements must be non-empty")
-    master = cfg.seed if seed is None else seed
-    out = out_dir if out_dir is not None else cfg.out_dir
-    os.makedirs(out, exist_ok=True)
+    master, out = _seed_and_out_dir(cfg, seed, out_dir)
     grid = cfg.localizer.grid
     summary = []
     for idx, placement in enumerate(cfg.beampattern_placements):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=master, spawn_key=(idx,)))
+        rng = trial_rng(master, idx)
         scene = dataclasses.replace(cfg.make_scene(rng), aoa_ap_ris=float(placement))
         phases = build_phases(cfg, scene, cfg.ris, rng)
         pat = beampattern(phases, scene.aod_ris_pr, cfg.ris, grid)
@@ -427,10 +436,8 @@ def run_beampattern(cfg: ExperimentConfig, seed: Optional[int] = None,
         notch_db = 10.0 * np.log10(max(notch, 1e-300) / peak)
         off = pat_db[np.abs(grid - placement) > 3.0]
         name = PLACEMENT_CSV.format(placement)
-        with open(os.path.join(out, name), "w") as fh:
-            fh.write("theta_deg,b_normalized_db\n")
-            for t, v in zip(grid, pat_db):
-                fh.write(f"{t:.6g},{v:.10g}\n")
+        _write_csv(os.path.join(out, name), "theta_deg,b_normalized_db", "{:.6g},{:.10g}",
+                   zip(grid.tolist(), pat_db.tolist()))
         summary.append({"aoa_ap_ris": float(placement), "notch_db": float(notch_db),
                         "off_notch_median_db": float(np.median(off)), "csv": name})
     _write_json(os.path.join(out, "beampattern_summary.json"),

@@ -9,7 +9,8 @@ import numpy as np
 
 from .pr_beamformer import BeamformedData
 from .ris_optimizer import PhaseShiftMatrix
-from .signal_model import ArraySpec, check_fields, steering_dictionary, steering_vector
+from .signal_model import (ArraySpec, check_angles, check_fields, steering_dictionary,
+                           steering_vector)
 
 
 def default_grid() -> np.ndarray:
@@ -42,11 +43,7 @@ class LocalizerConfig:
         if (self.grid.ndim != 1 or self.grid.size == 0
                 or np.any(np.diff(self.grid) <= 0)):
             raise ValueError("grid must be a non-empty, strictly increasing 1-D sequence")
-        # the rule of check_angles, kept separate to list every bad grid angle
-        bad = self.grid[~(np.abs(self.grid) < 90.0)]
-        if bad.size:
-            raise ValueError("grid angles must satisfy |theta| < 90 deg (steering is "
-                             f"undefined at +-90), got {bad.tolist()}")
+        check_angles("grid", self.grid)
 
 
 @dataclass
@@ -60,13 +57,6 @@ class SpectrumResult:
     @property
     def k_hat(self) -> int:
         return len(self.peaks)
-
-    def to_csv(self, path) -> None:
-        is_peak = np.isin(self.grid, self.peaks).astype(int)
-        with open(path, "w") as fh:
-            fh.write("theta_deg,power,normalized,is_peak\n")
-            for t, p, n, ip in zip(self.grid, self.power, self.normalized, is_peak):
-                fh.write(f"{t:.6g},{p:.12g},{n:.12g},{ip}\n")
 
 
 def scan_vector(theta: float, phases: PhaseShiftMatrix, ris: ArraySpec,

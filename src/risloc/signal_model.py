@@ -56,9 +56,12 @@ def check_fields(obj) -> None:
 
 
 def check_angles(name: str, angles) -> None:
-    """Steering is undefined at +-90, so every angle must satisfy |angle| < 90."""
-    if not all(abs(a) < 90.0 for a in np.ravel(angles).tolist()):
-        raise ValueError(f"{name} must satisfy |angle| < 90, got {angles}")
+    """Steering is undefined at +-90, so every angle must satisfy |angle| < 90.
+    The error names the angles that do not."""
+    bad = [a for a in np.ravel(angles).tolist() if not abs(a) < 90.0]
+    if bad:
+        raise ValueError(f"{name} must satisfy |angle| < 90 (steering is undefined at "
+                         f"+-90), got {bad}")
 
 
 @dataclass

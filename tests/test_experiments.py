@@ -15,8 +15,8 @@ from risloc import (ArraySpec, BeamformedData, ExperimentConfig, LocalizerConfig
                     matched_weight, music_estimate, no_ris_localize, pr_received,
                     ris_incident, ris_reflect, select_estimates, simulate_epochs, spectrum,
                     trial_error)
-from risloc.experiments import (TRIALS_CSV_HEADER, _no_ris_epoch, _parse_gain,
-                                _sweep_trial, beamformed_epochs, build_phases,
+from risloc.experiments import (TRIALS_CSV_HEADER, _acquisition, _no_ris_epoch,
+                                _parse_gain, _sweep_trial, beamformed_epochs,
                                 config_from_dict, load_config, noise_variance_for_snr,
                                 run_beampattern, run_mse_sweep, run_spectrum, trial_rng)
 from risloc.signal_model import complex_normal
@@ -287,6 +287,20 @@ def test_trial_rng_streams_are_stable():
     assert np.any(a != c)
 
 
+def test_trial_rng_keys_reproduce_the_driver_streams():
+    # spectrum draws from the root of the seed tree and beampattern placement
+    # i from child (i,); the shipped outputs depend on exactly these streams
+    for master in (0, 1234):
+        root = np.random.default_rng(np.random.SeedSequence(entropy=master))
+        np.testing.assert_array_equal(trial_rng(master).standard_normal(4),
+                                      root.standard_normal(4))
+        for i in range(3):
+            child = np.random.default_rng(np.random.SeedSequence(entropy=master,
+                                                                 spawn_key=(i,)))
+            np.testing.assert_array_equal(trial_rng(master, i).standard_normal(4),
+                                          child.standard_normal(4))
+
+
 # ---------------------------------------------------------------- drivers
 
 @pytest.mark.parametrize("overrides", [{}, {"gain_ap_pr": 0j}])
@@ -337,6 +351,18 @@ def test_spectrum_run_reproducible_bytes(tmp_path):
     assert summary["k_hat"] == len(summary["peaks"])
 
 
+def test_spectrum_csv_format(tmp_path):
+    cfg = config_from_dict(tiny_config_dict())
+    res = run_spectrum(cfg, out_dir=str(tmp_path))
+    lines = (tmp_path / "spectrum.csv").read_text().strip().split("\n")
+    assert lines[0] == "theta_deg,power,normalized,is_peak"
+    rows = [ln.split(",") for ln in lines[1:]]
+    assert [float(r[0]) for r in rows] == cfg.localizer.grid.tolist()
+    assert {r[3] for r in rows} <= {"0", "1"}
+    flagged = [float(r[0]) for r in rows if r[3] == "1"]
+    assert res.peaks and flagged == res.peaks
+
+
 def test_spectrum_degenerate_scene_reports_nothing(tmp_path):
     d = tiny_config_dict()
     d["scene"]["target_aoas_ris"] = []
@@ -375,12 +401,8 @@ def _sweep_trial_per_snr_point(cfg, m_index, m_elements, trial):
     """_sweep_trial's rows with one scan per SNR point and method: the same
     draws, then every acquisition formed and scanned on its own."""
     rng = trial_rng(cfg.seed, m_index, trial)
-    scene = cfg.make_scene(rng)
     ris = ArraySpec(m_elements, cfg.ris.spacing)
-    phases = build_phases(cfg, scene, ris, rng)
-    waveform = generate_waveform(cfg.n_samples, rng, cfg.waveform_kind)
-    w = matched_weight(cfg.pr, scene.aoa_ris_pr)
-    z0, x_power = beamformed_epochs(scene, waveform, phases, ris, cfg.pr, w, rng)
+    scene, phases, waveform, w, z0, x_power = _acquisition(cfg, ris, rng)
     y0_nr = _no_ris_epoch(scene, waveform, cfg.pr, rng)
     ez, e1 = complex_normal(z0.shape, rng), complex_normal(y0_nr.shape, rng)
     k, aod = scene.n_targets, scene.aod_ris_pr
@@ -415,6 +437,27 @@ def test_sweep_trial_equals_one_scan_per_snr_point(overrides):
     for trial in range(3):
         assert (_sweep_trial(cfg, 0, 8, trial)
                 == _sweep_trial_per_snr_point(cfg, 0, 8, trial))
+
+
+def _no_targets(d):
+    for key in ("target_aoas_ris", "target_aoas_pr", "gain_targets", "gain_targets_pr"):
+        d["scene"][key] = []
+    return d
+
+
+@pytest.mark.parametrize("d, k, n_epoch", [
+    (tiny_config_dict(n_epoch=2), 2, 2), (_no_targets(tiny_config_dict()), 0, 12)])
+def test_sweep_checks_music_model_order_before_the_first_trial(tmp_path, d, k, n_epoch):
+    # such a config loads, since a spectrum run needs no model order; a sweep
+    # with music_ris fails before it runs a trial or writes a file
+    cfg = config_from_dict(d)
+    with pytest.raises(ValueError, match=rf"methods include music_ris.*n_epoch.*"
+                                         rf"K = {k} targets and n_epoch = {n_epoch}$"):
+        run_mse_sweep(cfg, out_dir=str(tmp_path / "music"))
+    assert not (tmp_path / "music").exists()
+    rows = run_mse_sweep(dataclasses.replace(cfg, methods=["nlms_ris", "nlms_no_ris"]),
+                         out_dir=str(tmp_path / "nlms"))
+    assert len(rows) == 2 * len(cfg.snr_sweep_db)
 
 
 def test_sweep_noiseless_strong_targets_hit_grid(tmp_path):
@@ -520,6 +563,13 @@ def test_cli_beampattern_smoke(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["beampattern", "--config", str(path), "--out", str(out)]) == 0
     assert (out / "beampattern_ap+0.csv").exists()
+
+
+def test_cli_last_config_wins():
+    # the script wrappers pass a default --config ahead of the user's flags
+    parser = cli.build_parser()
+    assert parser.parse_args(["spectrum", "--config", "a", "--config", "b"]).config == "b"
+    assert parser.parse_args(["spectrum", "--config", "a", "--config=b"]).config == "b"
 
 
 def test_cli_rejects_missing_subcommand():
