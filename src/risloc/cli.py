@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import os
 from typing import Optional, Sequence
-
-from .experiments import load_config, run_beampattern, run_mse_sweep, run_spectrum
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -33,6 +32,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    # the matrices are at most about 100 x 100, too small for threaded BLAS to
+    # pay; the thread count is read when numpy first loads, which is below.
+    # A value set in the environment wins.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
+    from .experiments import load_config, run_beampattern, run_mse_sweep, run_spectrum
+
     cfg = load_config(args.config)
     if args.command == "spectrum":
         result = run_spectrum(cfg, seed=args.seed, out_dir=args.out)

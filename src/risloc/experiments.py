@@ -112,12 +112,14 @@ class ExperimentConfig:
             if repeated:
                 raise ValueError(f"{where} must be distinct, repeated: {', '.join(repeated)}")
 
-    def make_scene(self, rng: Optional[np.random.Generator] = None) -> SceneConfig:
-        """The scene: block as a SceneConfig. Entries are parsed in field order,
-        so random gain phases are drawn in that order whatever the key order."""
-        return SceneConfig(**{f.name: _scene_value(f.name, self.scene_spec[f.name], rng)
-                              for f in dataclasses.fields(SceneConfig)
-                              if f.name in self.scene_spec})
+    def make_scene(self, rng: Optional[np.random.Generator] = None,
+                   **overrides) -> SceneConfig:
+        """The scene: block as a SceneConfig, with the entries in overrides
+        replaced. Entries are parsed in field order, overridden ones too, so
+        random gain phases are drawn in that order whatever the key order."""
+        spec = {f.name: _scene_value(f.name, self.scene_spec[f.name], rng)
+                for f in dataclasses.fields(SceneConfig) if f.name in self.scene_spec}
+        return SceneConfig(**{**spec, **overrides})
 
 
 def _parse_grid(spec) -> np.ndarray:
@@ -278,10 +280,16 @@ def _seed_and_out_dir(cfg: ExperimentConfig, seed: Optional[int], out_dir: Optio
 
 
 def _write_csv(path, header: str, row_format: str, rows) -> None:
-    """A CSV table: the header line, then row_format.format(*row) per row."""
+    """A CSV table: the header line, then row_format.format(*row) per row.
+
+    The rows are formatted by one format call on the row template repeated
+    once per row; its fields number automatically across the repeats, so
+    each row's text is the one a per-row call gives."""
+    rows = list(rows)
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        fh.writelines(row_format.format(*row) + "\n" for row in rows)
+        fh.write(((row_format + "\n") * len(rows)).format(
+            *itertools.chain.from_iterable(rows)))
 
 
 def _write_json(path, payload) -> None:
@@ -427,7 +435,7 @@ def run_beampattern(cfg: ExperimentConfig, seed: Optional[int] = None,
     summary = []
     for idx, placement in enumerate(cfg.beampattern_placements):
         rng = trial_rng(master, idx)
-        scene = dataclasses.replace(cfg.make_scene(rng), aoa_ap_ris=float(placement))
+        scene = cfg.make_scene(rng, aoa_ap_ris=float(placement))
         phases = build_phases(cfg, scene, cfg.ris, rng)
         pat = beampattern(phases, scene.aod_ris_pr, cfg.ris, grid)
         peak = pat.max()

@@ -21,8 +21,11 @@ class PhaseShiftMatrix:
         self.matrix = np.asarray(self.matrix, dtype=complex)
         if self.matrix.ndim != 2:
             raise ValueError("phase-shift matrix must be 2-D")
+        if self.matrix.size == 0:
+            raise ValueError("phase-shift matrix must have at least one epoch and one "
+                             f"element, got shape {self.matrix.shape}")
         dev = np.max(np.abs(np.abs(self.matrix) - 1.0))
-        if dev > 1e-12:
+        if not dev <= 1e-12:  # NaN compares False, so it fails here too
             raise ValueError(f"entries must be unit modulus, max deviation {dev:.3e}")
 
     @property
@@ -40,13 +43,20 @@ def suppression_target(scene: SceneConfig, ris: ArraySpec) -> np.ndarray:
     return b * steering_vector(ris, scene.aoa_ap_ris)
 
 
-def orthogonal_projector(a_tilde: np.ndarray) -> np.ndarray:
-    """P = I - a a^H / ||a||^2; Hermitian, idempotent, annihilates a_tilde."""
-    a_tilde = np.asarray(a_tilde, dtype=complex)
+def _norm2(a_tilde: np.ndarray) -> float:
     nrm2 = np.vdot(a_tilde, a_tilde).real
     if nrm2 <= 0:
         raise ValueError("suppression target must have nonzero norm")
-    return np.eye(a_tilde.size) - np.outer(a_tilde, a_tilde.conj()) / nrm2
+    return nrm2
+
+
+def orthogonal_projector(a_tilde: np.ndarray) -> np.ndarray:
+    """P = I - a a^H / ||a||^2; Hermitian, idempotent, annihilates a_tilde.
+
+    The dense form, kept as the reference: solve_phase_shifts applies P to
+    each row in its rank-one form."""
+    a_tilde = np.asarray(a_tilde, dtype=complex)
+    return np.eye(a_tilde.size) - np.outer(a_tilde, a_tilde.conj()) / _norm2(a_tilde)
 
 
 def _chirp_columns(m_elements: int, n_epoch: int, rng: np.random.Generator) -> np.ndarray:
@@ -95,7 +105,9 @@ def solve_phase_shifts(a_tilde: np.ndarray, n_epoch: int, rng: np.random.Generat
     default; init="chirp" uses structured quadratic-phase columns that spread
     the epochs more evenly), projects each row of its transpose onto the
     subspace with v^T a_tilde = 0, and restores unit modulus by keeping phases
-    only. Restoration re-introduces a small leakage component, so
+    only. Each projection is the rank-one update v - (v a_tilde) a_tilde^H /
+    ||a_tilde||^2, O(N_epoch * M), equal to v @ orthogonal_projector(a_tilde)
+    up to rounding. Restoration re-introduces a small leakage component, so
     refine_rounds more project+restore passes are applied (one pass roughly
     doubles the suppression in dB).
 
@@ -108,7 +120,7 @@ def solve_phase_shifts(a_tilde: np.ndarray, n_epoch: int, rng: np.random.Generat
         raise ValueError("refine_rounds must be non-negative")
     a_tilde = np.asarray(a_tilde, dtype=complex)
     m_elements = a_tilde.size
-    proj = orthogonal_projector(a_tilde)
+    a_conj = a_tilde.conj() / _norm2(a_tilde)
     if init == "gaussian":
         gamma = complex_normal((m_elements, n_epoch), rng)
     elif init == "chirp":
@@ -117,15 +129,19 @@ def solve_phase_shifts(a_tilde: np.ndarray, n_epoch: int, rng: np.random.Generat
         raise ValueError(f"unknown init {init!r}")
     # row n of V must satisfy v_n^T a_tilde ~ 0 (bilinear form, no conjugate),
     # so project the rows of Gamma^T from the right
-    v = _unit_phases(gamma.T @ proj)
-    for _ in range(refine_rounds):
-        v = _unit_phases(v @ proj)
+    v = gamma.T
+    for _ in range(refine_rounds + 1):
+        v = _unit_phases(v - np.outer(v @ a_tilde, a_conj))
     return PhaseShiftMatrix(v)
 
 
 def _unit_phases(mat: np.ndarray) -> np.ndarray:
-    # angle(0) := 0, i.e. exact zeros map to +1
-    return np.exp(1j * np.angle(mat))
+    """x / |x| entrywise: exact zeros map to +1 (angle(0) := 0) and NaN stays
+    NaN, since |NaN| != 0 divides it (quietly: complex division flags NaN
+    operands as invalid)."""
+    mag = np.abs(mat)
+    with np.errstate(invalid="ignore"):
+        return np.divide(mat, mag, out=np.ones_like(mat), where=mag != 0)
 
 
 def suppression_db(phases: PhaseShiftMatrix, a_tilde: np.ndarray) -> float:

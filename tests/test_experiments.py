@@ -3,6 +3,8 @@ import dataclasses
 import json
 import os
 import shlex
+import subprocess
+import sys
 import typing
 
 import numpy as np
@@ -16,7 +18,7 @@ from risloc import (ArraySpec, BeamformedData, ExperimentConfig, LocalizerConfig
                     ris_incident, ris_reflect, select_estimates, simulate_epochs, spectrum,
                     trial_error)
 from risloc.experiments import (TRIALS_CSV_HEADER, _acquisition, _no_ris_epoch,
-                                _parse_gain, _sweep_trial, beamformed_epochs,
+                                _parse_gain, _sweep_trial, _write_csv, beamformed_epochs,
                                 config_from_dict, load_config, noise_variance_for_snr,
                                 run_beampattern, run_mse_sweep, run_spectrum, trial_rng)
 from risloc.signal_model import complex_normal
@@ -487,6 +489,31 @@ def test_sweep_noiseless_strong_targets_hit_grid(tmp_path):
         assert row["flagged_fraction"] == 0.0
 
 
+def test_write_csv_equals_per_row_format(tmp_path):
+    # one format call over the repeated row template gives each row the text
+    # of its own format call, edge values included
+    values = [-0.0, 0.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300, 5e-324, 1.0 / 3.0]
+    rows = [(i, "nlms_ris", v, -v, True, False, i % 3 == 0) for i, v in enumerate(values)]
+    row_format = "{},{},{:.10g},{:.6g},{:d},{},{:d}"
+    path = tmp_path / "t.csv"
+    _write_csv(path, "a,b,c,d,e,f,g", row_format, iter(rows))
+    want = "a,b,c,d,e,f,g\n" + "".join(row_format.format(*row) + "\n" for row in rows)
+    assert path.read_bytes() == want.encode()
+    assert path.read_text().splitlines()[1:5] == [
+        "0,nlms_ris,-0,0,1,False,1", "1,nlms_ris,0,-0,1,False,0",
+        "2,nlms_ris,inf,-inf,1,False,0", "3,nlms_ris,-inf,inf,1,False,1"]
+    _write_csv(path, "a", "{}", [])
+    assert path.read_bytes() == b"a\n"
+
+
+def test_beampattern_scene_is_the_config_scene_at_each_placement():
+    # the placement overrides aoa_ap_ris only; every gain phase is drawn from
+    # the placement's rng as the plain scene draws it
+    cfg = load_config(os.path.join(CONFIG_DIR, "beampattern.yaml"))
+    got = cfg.make_scene(trial_rng(5, 1), aoa_ap_ris=10.0)
+    assert got == dataclasses.replace(cfg.make_scene(trial_rng(5, 1)), aoa_ap_ris=10.0)
+
+
 def test_beampattern_outputs(tmp_path):
     d = tiny_config_dict()
     d["beampattern_placements"] = [-30.0, 10.0]
@@ -563,6 +590,39 @@ def test_cli_beampattern_smoke(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["beampattern", "--config", str(path), "--out", str(out)]) == 0
     assert (out / "beampattern_ap+0.csv").exists()
+
+
+def test_cli_pins_blas_threads_unless_set(tmp_path, monkeypatch):
+    d = tiny_config_dict()
+    d["beampattern_placements"] = [0.0]
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(d))
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    assert cli.main(["beampattern", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+    assert os.environ["OMP_NUM_THREADS"] == "3"
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # the console script sets the BLAS thread count before numpy loads, which
+    # needs a package whose public names load on first use
+    code = "\n".join([
+        "import sys",
+        "import risloc.cli",
+        "assert 'numpy' not in sys.modules, 'numpy loaded by import risloc.cli'",
+        "import risloc",
+        "missing = [n for n in risloc.__all__ if not hasattr(risloc, n)]",
+        "assert not missing, missing",
+        "assert set(risloc.__all__) <= set(dir(risloc))",
+        "from risloc import solve_phase_shifts, ris_optimizer",
+        "assert solve_phase_shifts is ris_optimizer.solve_phase_shifts",
+        "assert not hasattr(risloc, 'no_such_name')",
+    ])
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_cli_last_config_wins():

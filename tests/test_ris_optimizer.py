@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import risloc.localizer as localizer
 import risloc.ris_optimizer as ris_optimizer
 from risloc import ArraySpec, BeamformedData, LocalizerConfig, steering_vector
+from risloc.signal_model import complex_normal
 from risloc.ris_optimizer import (PhaseShiftMatrix, _chirp_columns, beampattern,
                                   beampattern_db, orthogonal_projector,
                                   solve_phase_shifts, suppression_db,
@@ -35,6 +36,12 @@ def test_phase_matrix_rejects_non_unit_entries():
         PhaseShiftMatrix(bad)
     with pytest.raises(ValueError):
         PhaseShiftMatrix(np.ones(4, dtype=complex))
+    # NaN compares False against any tolerance, so it needs its own rejection
+    with pytest.raises(ValueError, match="unit modulus"):
+        PhaseShiftMatrix([[1.0, np.nan], [1j, 1.0]])
+    for shape in ((0, 4), (3, 0)):
+        with pytest.raises(ValueError, match="at least one epoch and one element"):
+            PhaseShiftMatrix(np.ones(shape, dtype=complex))
 
 
 # ----------------------------------------------------------- projector
@@ -79,6 +86,44 @@ def test_solver_deterministic_given_seed(init):
 def test_solver_rejects_unknown_init(rng):
     with pytest.raises(ValueError):
         solve_phase_shifts(random_unit_vector(2, 8), 4, rng, init="hadamard")
+
+
+def test_unit_phases_maps_zero_to_one_and_keeps_nan():
+    got = ris_optimizer._unit_phases(np.array([[0.0, np.nan, -2.0, 3j, 1e-300 - 1e-300j]],
+                                              dtype=complex))
+    assert got[0, 0] == 1.0
+    assert np.isnan(got[0, 1])
+    np.testing.assert_array_equal(got[0, 2:4], [-1.0, 1j])
+    np.testing.assert_allclose(got[0, 4], (1 - 1j) / np.sqrt(2), rtol=1e-15)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 64), n_epoch=st.integers(1, 120),
+       init=st.sampled_from(["gaussian", "chirp"]), refine_rounds=st.integers(0, 3))
+@example(seed=0, m=64, n_epoch=90, init="chirp", refine_rounds=2)
+@settings(max_examples=60, deadline=None)
+def test_solver_rounds_equal_the_dense_projector_reference(seed, m, n_epoch, init,
+                                                           refine_rounds):
+    # each round of the solver, fed the solver's own previous round (the seed
+    # rows Gamma^T first), is the literal round exp(1j * angle(v @ P)). The
+    # rank-one projection differs from v @ P by about (M + 1) eps ||v|| per
+    # entry at most, and the phase of an entry x moves by that over |x|, so
+    # the tolerance scales with 1/|x| of each pre-restore entry
+    a = random_unit_vector(seed, m)
+    r = np.random.default_rng(seed)
+    gamma = (complex_normal((m, n_epoch), r) if init == "gaussian"
+             else _chirp_columns(m, n_epoch, r))
+    proj, eps = orthogonal_projector(a), np.finfo(float).eps
+    prev = gamma.T
+    for k in range(refine_rounds + 1):
+        got = solve_phase_shifts(a, n_epoch, np.random.default_rng(seed), init=init,
+                                 refine_rounds=k).matrix
+        x = prev @ proj
+        with np.errstate(divide="ignore"):
+            tol = (8 * (m + 1) * eps * np.linalg.norm(prev, axis=1, keepdims=True)
+                   / np.abs(x) + 8 * eps)
+        err = np.abs(got - np.exp(1j * np.angle(x)))
+        assert np.all(err <= tol), (k, np.max(err / tol))
+        prev = got
 
 
 def test_single_element_array_cannot_suppress(rng):
