@@ -21,16 +21,20 @@ def music_estimate(data: BeamformedData, k_true: int, cfg: LocalizerConfig,
                    noise: Optional[np.ndarray] = None, scales: Sequence[float] = ()):
     """Subspace estimates of the k_true RIS-side angles on cfg.grid.
 
-    Sample covariance of the beamformed epochs, signal subspace from the
-    k_true largest eigenvalues, pseudospectrum against unit-norm scan vectors
-    (the scan vectors of spectrum, with the taper when cfg.include_b), k_true
-    largest local maxima. If the pseudospectrum has fewer interior maxima than
+    Signal subspace S from the k_true largest eigenvalues of the Gram matrix
+    Z Z^H of the beamformed epochs, then the k_true largest local maxima over
+    the grid of the signal-subspace fraction q = ||S^H d||^2 / ||d||^2 of the
+    scan vectors d (those of spectrum, with the taper when cfg.include_b).
+    These are the picks of the textbook pseudospectrum 1 / (1 - q), with the
+    noise subspace of the loaded sample covariance c Z Z^H + e I, because for
+    c > 0 that matrix has the eigenvectors of Z Z^H in the same order and
+    1 / (1 - q) is increasing in q. If q has fewer interior maxima than
     k_true (degenerate inputs), the largest remaining grid values fill in.
 
     With noise (N_epoch x L), the acquisitions are data.z + s * noise, one per
     entry s of scales, and a list of estimates per scale is returned. Their
-    covariances L R(s) = A + s (B + B^H + s C), with A = Z Z^H, B = Z noise^H
-    and C = noise noise^H, share those three products and the scan norms.
+    Gram matrices A + s (B + B^H + s C), with A = Z Z^H, B = Z noise^H and
+    C = noise noise^H, share those three products and the scan norms.
     Without noise, data alone is the single case s = 0 and one list of
     estimates is returned.
     """
@@ -44,25 +48,22 @@ def music_estimate(data: BeamformedData, k_true: int, cfg: LocalizerConfig,
                          f"got {np.shape(noise)}")
     gram = z @ z.conj().T
     if noise is None:
-        covariances = [gram]
+        grams = [gram]
     else:
         cross = z @ noise.conj().T
         cross += cross.conj().T
         noise_gram = noise @ noise.conj().T
-        covariances = (gram + s * (cross + s * noise_gram) for s in scales)
+        grams = (gram + s * (cross + s * noise_gram) for s in scales)
     coeff = steering_dictionary(ris, cfg.grid, aod_ris_pr, cfg.include_b)
     norms = _scan_norms(phases.matrix, coeff)
     estimates = []
-    for cov in covariances:
-        r = cov / data.n_samples
-        r = r + 1e-10 * np.trace(r).real / data.n_epoch * np.eye(data.n_epoch)
-        _, vecs = np.linalg.eigh(r)  # ascending eigenvalues
-        den = _music_denominator(vecs[:, data.n_epoch - k_true:], phases.matrix, coeff, norms)
-        pseudo = 1.0 / np.maximum(den, 1e-300)
-        order = sorted(_peak_indices(pseudo), key=lambda i: -pseudo[i])
+    for g in grams:
+        _, vecs = np.linalg.eigh(g)  # ascending eigenvalues
+        q = _signal_fraction(vecs[:, data.n_epoch - k_true:], phases.matrix, coeff, norms)
+        order = sorted(_peak_indices(q), key=lambda i: -q[i])
         picked = order[:k_true]
         if len(picked) < k_true:
-            rest = [i for i in np.argsort(-pseudo) if i not in picked]
+            rest = [i for i in np.argsort(-q) if i not in picked]
             picked.extend(rest[: k_true - len(picked)])
         estimates.append(sorted(float(cfg.grid[i]) for i in picked))
     return estimates[0] if noise is None else estimates
@@ -73,16 +74,15 @@ def _scan_norms(basis: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     return np.sum(coeff.conj() * ((basis.conj().T @ basis) @ coeff), axis=0).real
 
 
-def _music_denominator(signal_sub: np.ndarray, basis: np.ndarray, coeff: np.ndarray,
-                       norms: np.ndarray) -> np.ndarray:
-    """||E^H d||^2 / ||d||^2 for every scan vector d = B c, E the noise subspace.
-
-    E E^H = I - S S^H for the orthonormal signal subspace S (its K columns in
-    place of the N - K of E), so this is 1 - ||(S^H B) c||^2 / ||d||^2 with the
-    norms ||d||^2 of _scan_norms, and no N x grid scan matrix is formed.
+def _signal_fraction(signal_sub: np.ndarray, basis: np.ndarray, coeff: np.ndarray,
+                     norms: np.ndarray) -> np.ndarray:
+    """||S^H d||^2 / ||d||^2 for every scan vector d = B c, S the orthonormal
+    signal subspace: ||(S^H B) c||^2 over the norms ||d||^2 of _scan_norms, so
+    no N x grid scan matrix is formed. As E E^H = I - S S^H for the noise
+    subspace E, one minus it is the MUSIC denominator ||E^H d||^2 / ||d||^2.
     """
     proj = (signal_sub.conj().T @ basis) @ coeff
-    return 1.0 - np.sum(np.abs(proj) ** 2, axis=0) / norms
+    return np.sum(np.abs(proj) ** 2, axis=0) / norms
 
 
 def no_ris_localize(y_epoch: np.ndarray, cfg: LocalizerConfig, pr: ArraySpec):

@@ -20,9 +20,9 @@ from .localizer import LocalizerConfig, SpectrumResult, default_grid, spectrum
 from .pr_beamformer import BeamformedData, matched_weight
 from .ris_optimizer import (RIS_INITS, PhaseShiftMatrix, beampattern, solve_phase_shifts,
                             suppression_target)
-from .signal_model import (WAVEFORM_KINDS, ArraySpec, Decibels, SceneConfig, Waveform,
-                           check_angles, check_fields, check_value, complex_normal,
-                           generate_waveform, ris_incident, steering_matrix, steering_vector)
+from .signal_model import (ArraySpec, Decibels, SceneConfig, Waveform, check_angles,
+                           check_fields, check_value, complex_normal, generate_waveform,
+                           ris_incident, steering_matrix, steering_vector)
 
 TRIALS_CSV_HEADER = "trial,method,snr_db,m_elements,mse_deg2,detected_count,flagged"
 PLACEMENT_CSV = "beampattern_ap{:+g}.csv"  # one beampattern CSV per AP placement
@@ -78,7 +78,6 @@ class ExperimentConfig:
     out_dir: str = "results"
     ris_init: str = "gaussian"
     refine_rounds: int = 1
-    waveform_kind: str = "gaussian"
     m_sweep: Optional[Sequence[int]] = None
     methods: Sequence[str] = METHODS
     beampattern_placements: Sequence[float] = ()
@@ -99,7 +98,6 @@ class ExperimentConfig:
         if not self.methods:
             raise ValueError("methods must be non-empty")
         _reject_unknown("methods", self.methods, METHODS)
-        _reject_unknown("waveform_kind", [self.waveform_kind], WAVEFORM_KINDS)
         _reject_unknown("ris_init", [self.ris_init], RIS_INITS)
         if self.m_sweep is not None and not (self.m_sweep and all(m >= 1 for m in self.m_sweep)):
             raise ValueError("m_sweep must be null or a non-empty list of integers >= 1, "
@@ -132,7 +130,11 @@ def _parse_grid(spec) -> np.ndarray:
         start, stop, step = float(spec["start"]), float(spec["stop"]), float(spec["step"])
         if not step > 0:
             raise ValueError(f"grid step must be > 0, got {step}")
-        return np.round(np.arange(start, stop + step / 2, step), 6)
+        # the last point is the largest start + i step <= stop, to 1e-9 of a
+        # step so that a stop missed by rounding is kept; arange to
+        # stop + step / 2 is never shorter, and its values are kept
+        n = max(int(np.floor((stop - start) / step + 1e-9)) + 1, 0)
+        return np.round(np.arange(start, stop + step / 2, step)[:n], 6)
     # flattened, so that a nested list still fails as not 1-D
     check_value("grid", np.asarray(spec, dtype=object).ravel().tolist(), Sequence[float])
     return np.asarray(spec, dtype=float)
@@ -204,7 +206,7 @@ def _acquisition(cfg: ExperimentConfig, ris: ArraySpec, rng: np.random.Generator
     beamformed_epochs: one noise-free acquisition, drawn from rng in that order."""
     scene = cfg.make_scene(rng)
     phases = build_phases(cfg, scene, ris, rng)
-    waveform = generate_waveform(cfg.n_samples, rng, cfg.waveform_kind)
+    waveform = generate_waveform(cfg.n_samples, rng)
     w = matched_weight(cfg.pr, scene.aoa_ris_pr)
     z0, x_power = beamformed_epochs(scene, waveform, phases, ris, cfg.pr, w, rng)
     return scene, phases, waveform, w, z0, x_power
@@ -273,7 +275,10 @@ def noise_variance_for_snr(scene: SceneConfig, x_power: float, snr_db: float) ->
 
 def _seed_and_out_dir(cfg: ExperimentConfig, seed: Optional[int], out_dir: Optional[str]):
     """A run's master seed and output directory (made if missing): each the
-    override if given, else the config's."""
+    override if given, else the config's. A negative seed fails before the
+    directory is made."""
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     out = cfg.out_dir if out_dir is None else out_dir
     os.makedirs(out, exist_ok=True)
     return (cfg.seed if seed is None else seed), out

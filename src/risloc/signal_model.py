@@ -98,7 +98,7 @@ class SceneConfig:
     gain_ap_pr: complex
     gain_targets_pr: Sequence[complex]
     rician_ap_pr: float = 10.0
-    rician_targets_pr: Sequence[float] = ()
+    rician_targets_pr: typing.Optional[Sequence[float]] = None  # None: 10 per target
 
     def __post_init__(self):
         check_fields(self)
@@ -106,8 +106,8 @@ class SceneConfig:
         if not (len(self.target_aoas_pr) == len(self.gain_targets)
                 == len(self.gain_targets_pr) == k):
             raise ValueError("per-target lists must share one length K")
-        if not self.rician_targets_pr:
-            self.rician_targets_pr = tuple(10.0 for _ in range(k))
+        if self.rician_targets_pr is None:
+            self.rician_targets_pr = (10.0,) * k
         if len(self.rician_targets_pr) != k:
             raise ValueError("rician_targets_pr length must equal K")
         if self.rician_ap_pr < 0 or any(v < 0 for v in self.rician_targets_pr):
@@ -201,21 +201,11 @@ def rician_channel(spec: ArraySpec, los_angle_deg: float, kappa: float,
     return np.sqrt(kappa / (1.0 + kappa)) * los + np.sqrt(1.0 / (1.0 + kappa)) * nlos
 
 
-WAVEFORM_KINDS = ("gaussian", "qpsk")
-
-
-def generate_waveform(length: int, rng: np.random.Generator,
-                      kind: str = "gaussian") -> Waveform:
-    """Unit-power probing sequence; circular complex Gaussian or QPSK."""
+def generate_waveform(length: int, rng: np.random.Generator) -> Waveform:
+    """Unit-power probing sequence: circular complex Gaussian draws."""
     if length < 1:
         raise ValueError(f"waveform length must be >= 1, got {length}")
-    if kind == "gaussian":
-        s = complex_normal(length, rng)
-    elif kind == "qpsk":
-        s = rng.choice(np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0), size=length)
-    else:
-        raise ValueError(f"unknown waveform kind {kind!r}")
-    return Waveform(s)
+    return Waveform(complex_normal(length, rng))
 
 
 def ris_incident(scene: SceneConfig, waveform: Waveform, ris: ArraySpec) -> np.ndarray:

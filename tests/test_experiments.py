@@ -140,7 +140,7 @@ def test_unknown_config_keys_fail_at_load(tmp_path):
             ({"scene": dict(scene, gain_targets=[0.1])}, "per-target lists"),
             ({"methods": ["nlms_ris", "musik_ris"]}, "unknown methods: musik_ris"),
             ({"methods": []}, "methods must be non-empty"),
-            ({"waveform_kind": "gausian"}, "unknown waveform_kind: gausian"),
+            ({"waveform_kind": "gaussian"}, "unknown config keys: waveform_kind"),
             ({"ris_init": "chrip"}, "unknown ris_init: chrip"),
             ({"m_sweep": [16, 0]}, "m_sweep"),
             ({"m_sweep": [16, 2.5]}, "m_sweep"),
@@ -198,6 +198,8 @@ def test_unknown_config_keys_fail_at_load(tmp_path):
             ({"beampattern_placements": [95.0]}, r"beampattern_placements must satisfy \|angle"),
             ({"scene": dict(scene, rician_ap_pr=float("inf"))}, "rician_ap_pr"),
             ({"scene": dict(scene, rician_targets_pr=[float("inf"), 1.0])}, "rician_targets_pr"),
+            # an explicit empty list is a list of the wrong length, not the default
+            ({"scene": dict(scene, rician_targets_pr=[])}, "rician_targets_pr length must equal K"),
             ({"seed": -1}, "seed must be >= 0"),
             ({"refine_rounds": -1}, "refine_rounds must be >= 0"),
             # a repeated entry would write its sweep cells twice, or two
@@ -226,6 +228,25 @@ def test_unknown_config_keys_fail_at_load(tmp_path):
     path.write_text(yaml.safe_dump(tiny_config_dict(
         scene=dict(scene, gain_ap_pr={"db": float("-inf"), "phase_deg": 0.0}))))
     assert load_config(path).make_scene(np.random.default_rng(0)).gain_ap_pr == 0
+    # with no targets an empty rician_targets_pr has the right length
+    no_targets = _no_targets(tiny_config_dict())
+    no_targets["scene"]["rician_targets_pr"] = []
+    path.write_text(yaml.safe_dump(no_targets))
+    assert load_config(path).make_scene(np.random.default_rng(0)).rician_targets_pr == []
+
+
+def test_step_grid_ends_at_the_last_step_not_past_stop():
+    # the last point is the largest start + i step <= stop; a stop that sits
+    # on a step, exactly or up to rounding, is the last point
+    def grid(start, stop, step):
+        loc = {"grid": {"start": start, "stop": stop, "step": step}}
+        return config_from_dict(tiny_config_dict(localizer=loc)).localizer.grid.tolist()
+
+    assert grid(0.0, 1.6, 1.0) == [0.0, 1.0]
+    assert grid(-89.0, 89.6, 1.0) == np.arange(-89.0, 90.0).tolist()
+    assert grid(-60.0, 60.0, 5.0) == np.arange(-60.0, 61.0, 5.0).tolist()
+    assert grid(0.0, 0.3, 0.1) == [0.0, 0.1, 0.2, 0.3]
+    assert grid(-10.0, -10.0, 1.0) == [-10.0]
 
 
 def _wrong_kind(hint):
@@ -552,6 +573,22 @@ def test_beampattern_requires_placements(tmp_path):
 
 
 # ---------------------------------------------------------------- CLI
+
+def test_negative_seed_override_fails_before_any_output(tmp_path):
+    d = tiny_config_dict(beampattern_placements=[0.0])
+    cfg = config_from_dict(d)
+    for run in (run_spectrum, run_mse_sweep, run_beampattern):
+        out = tmp_path / run.__name__
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            run(cfg, seed=-1, out_dir=str(out))
+        assert not out.exists()
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(d))
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        cli.main(["spectrum", "--config", str(path), "--seed", "-1",
+                  "--out", str(tmp_path / "cli")])
+    assert not (tmp_path / "cli").exists()
+
 
 def test_cli_spectrum_smoke(tmp_path):
     path = tmp_path / "cfg.yaml"
