@@ -11,7 +11,7 @@ import numpy as np
 from .localizer import LocalizerConfig, SpectrumResult, _peak_indices, _scan_result
 from .pr_beamformer import BeamformedData
 from .ris_optimizer import PhaseShiftMatrix
-from .signal_model import ArraySpec, steering_dictionary
+from .signal_model import ArraySpec, dictionary_power, steering_dictionary
 
 MISS_ERROR_DEG = 90.0  # worst-case padding for missing detections
 
@@ -55,7 +55,7 @@ def music_estimate(data: BeamformedData, k_true: int, cfg: LocalizerConfig,
         noise_gram = noise @ noise.conj().T
         grams = (gram + s * (cross + s * noise_gram) for s in scales)
     coeff = steering_dictionary(ris, cfg.grid, aod_ris_pr, cfg.include_b)
-    norms = _scan_norms(phases.matrix, coeff)
+    norms = dictionary_power(phases.matrix, coeff)  # ||d||^2 for every scan vector d
     estimates = []
     for g in grams:
         _, vecs = np.linalg.eigh(g)  # ascending eigenvalues
@@ -69,20 +69,14 @@ def music_estimate(data: BeamformedData, k_true: int, cfg: LocalizerConfig,
     return estimates[0] if noise is None else estimates
 
 
-def _scan_norms(basis: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """||d||^2 for every scan vector d = B c, as Re(c^H (B^H B) c)."""
-    return np.sum(coeff.conj() * ((basis.conj().T @ basis) @ coeff), axis=0).real
-
-
 def _signal_fraction(signal_sub: np.ndarray, basis: np.ndarray, coeff: np.ndarray,
                      norms: np.ndarray) -> np.ndarray:
     """||S^H d||^2 / ||d||^2 for every scan vector d = B c, S the orthonormal
-    signal subspace: ||(S^H B) c||^2 over the norms ||d||^2 of _scan_norms, so
-    no N x grid scan matrix is formed. As E E^H = I - S S^H for the noise
+    signal subspace: dictionary_power(S^H B, C) over norms = dictionary_power(B, C),
+    so no N x grid scan matrix is formed. As E E^H = I - S S^H for the noise
     subspace E, one minus it is the MUSIC denominator ||E^H d||^2 / ||d||^2.
     """
-    proj = (signal_sub.conj().T @ basis) @ coeff
-    return np.sum(np.abs(proj) ** 2, axis=0) / norms
+    return dictionary_power(signal_sub.conj().T @ basis, coeff) / norms
 
 
 def no_ris_localize(y_epoch: np.ndarray, cfg: LocalizerConfig, pr: ArraySpec):

@@ -18,8 +18,8 @@ import yaml
 from .benchmarks import music_estimate, no_ris_localize, select_estimates, trial_error
 from .localizer import LocalizerConfig, SpectrumResult, default_grid, spectrum
 from .pr_beamformer import BeamformedData, matched_weight
-from .ris_optimizer import (RIS_INITS, PhaseShiftMatrix, beampattern, solve_phase_shifts,
-                            suppression_target)
+from .ris_optimizer import (RIS_INITS, PhaseShiftMatrix, beampattern, level_db,
+                            solve_phase_shifts, suppression_target)
 from .signal_model import (ArraySpec, Decibels, SceneConfig, Waveform, check_angles,
                            check_fields, check_value, complex_normal, generate_waveform,
                            ris_incident, steering_matrix, steering_vector)
@@ -444,9 +444,9 @@ def run_beampattern(cfg: ExperimentConfig, seed: Optional[int] = None,
         phases = build_phases(cfg, scene, cfg.ris, rng)
         pat = beampattern(phases, scene.aod_ris_pr, cfg.ris, grid)
         peak = pat.max()
-        pat_db = 10.0 * np.log10(np.maximum(pat, 1e-300) / peak)
+        pat_db = level_db(pat, peak)  # beampattern_db, without a second grid pattern
         notch = beampattern(phases, scene.aod_ris_pr, cfg.ris, [placement])[0]
-        notch_db = 10.0 * np.log10(max(notch, 1e-300) / peak)
+        notch_db = level_db(notch, peak)
         off = pat_db[np.abs(grid - placement) > 3.0]
         name = PLACEMENT_CSV.format(placement)
         _write_csv(os.path.join(out, name), "theta_deg,b_normalized_db", "{:.6g},{:.10g}",

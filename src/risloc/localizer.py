@@ -9,8 +9,8 @@ import numpy as np
 
 from .pr_beamformer import BeamformedData
 from .ris_optimizer import PhaseShiftMatrix
-from .signal_model import (ArraySpec, check_angles, check_fields, steering_dictionary,
-                           steering_vector)
+from .signal_model import (ArraySpec, check_angles, check_fields, dictionary_power,
+                           steering_dictionary, steering_vector)
 
 
 def default_grid() -> np.ndarray:
@@ -108,12 +108,12 @@ def nlms_adapt(z: np.ndarray, basis: np.ndarray, cfg: LocalizerConfig) -> np.nda
 def _scan_result(z, basis, coeff, cfg: LocalizerConfig):
     """NLMS spectrum of snapshots z (N x L) against scan vectors D = B C.
 
-    P(theta) = ||a_hat_L(theta)||^2 = ||X c(theta)||^2 with X = nlms_adapt(z, B),
+    P(theta) = ||X c(theta)||^2 = dictionary_power(X, C) with X = nlms_adapt(z, B),
     normalized to its maximum, with peaks above cfg.threshold. An all-zero
     spectrum is reported as degenerate. A stack z (S x N x L) is scanned with
     one nlms_adapt call and gives a list of S results.
     """
-    power = np.sum(np.abs(nlms_adapt(z, basis, cfg) @ coeff) ** 2, axis=-2)
+    power = dictionary_power(nlms_adapt(z, basis, cfg), coeff)
     if power.ndim > 1:
         return [_spectrum_result(p, cfg) for p in power]
     return _spectrum_result(power, cfg)

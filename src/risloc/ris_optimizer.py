@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal_model import (ArraySpec, SceneConfig, complex_normal, steering_dictionary,
-                           steering_vector)
+from .signal_model import (ArraySpec, SceneConfig, complex_normal, dictionary_power,
+                           steering_dictionary, steering_vector)
 
 
 @dataclass
@@ -68,11 +68,12 @@ def _chirp_columns(m_elements: int, n_epoch: int, rng: np.random.Generator) -> n
     final orbit uses equispaced ramps. This keeps the per-epoch signatures far
     more uniform than Gaussian draws when n_epoch is only a few times M.
 
-    Each orbit is one exp over an M x |shifts| phase array, formed with the
-    per-column elementwise operations in the same order, so every column is
-    the one a per-column exp would give.
+    Entry m of shift r is exp(i*pi*j/M) * exp(i*glob) with the integer
+    j = (q*m^2 + 2*r*m) mod 2M, so each orbit indexes one table of the 2M-th
+    roots of unity: no phase argument grows with q*m^2.
     """
     m = np.arange(m_elements)
+    roots = np.exp(1j * np.pi * np.arange(2 * m_elements) / m_elements)
     out = np.empty((m_elements, n_epoch), dtype=complex)
     done = 0
     # odd rates are invertible mod 2M, giving flat-magnitude chirps
@@ -87,9 +88,8 @@ def _chirp_columns(m_elements: int, n_epoch: int, rng: np.random.Generator) -> n
         else:
             shifts = np.round(np.arange(need) * m_elements / need).astype(int)
         glob = 2 * np.pi * rng.uniform()
-        out[:, done:done + shifts.size] = np.exp(1j * (
-            (np.pi * q * m * m / m_elements)[:, None]
-            + 2 * np.pi * shifts * m[:, None] / m_elements + glob))
+        j = ((q * m * m)[:, None] + 2 * shifts * m[:, None]) % (2 * m_elements)
+        out[:, done:done + shifts.size] = roots[j] * np.exp(1j * glob)
         done += shifts.size
     return out
 
@@ -153,15 +153,18 @@ def suppression_db(phases: PhaseShiftMatrix, a_tilde: np.ndarray) -> float:
 
 def beampattern(phases: PhaseShiftMatrix, aod_ris_pr: float, ris: ArraySpec,
                 grid) -> np.ndarray:
-    """Epoch-summed power response B(theta) = sum_n |b^T diag(v_n) a(theta)|^2,
-    over the cached tapered dictionary that the scans of localizer.spectrum
-    use."""
-    resp = phases.matrix @ steering_dictionary(ris, grid, aod_ris_pr, tapered=True)
-    return np.sum(np.abs(resp) ** 2, axis=0)
+    """Epoch-summed power response B(theta) = sum_n |b^T diag(v_n) a(theta)|^2, the
+    dictionary_power of V over the cached tapered dictionary the scans use."""
+    return dictionary_power(phases.matrix, steering_dictionary(ris, grid, aod_ris_pr, True))
+
+
+def level_db(power, peak):
+    """10 log10(power / peak), power floored at 1e-300 so that 0 stays finite."""
+    return 10.0 * np.log10(np.maximum(power, 1e-300) / peak)
 
 
 def beampattern_db(phases: PhaseShiftMatrix, aod_ris_pr: float, ris: ArraySpec,
                    grid) -> np.ndarray:
     """Beampattern normalized to its own maximum, in dB."""
     pat = beampattern(phases, aod_ris_pr, ris, grid)
-    return 10.0 * np.log10(np.maximum(pat, 1e-300) / pat.max())
+    return level_db(pat, pat.max())

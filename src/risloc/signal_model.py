@@ -186,6 +186,19 @@ def steering_dictionary(spec: ArraySpec, grid, aod=0.0, tapered=False) -> np.nda
                          aod if tapered else 0.0, tapered)
 
 
+def dictionary_power(rows: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """sum_n |x_n^T c|^2 for every dictionary column c = (u^m), |u| = 1, x_n the rows
+    of rows (N x M, or a stack): Re sum_k w_k rho_k u^k (w_0 = 1, else 2), u^k read
+    off row k of coeff, with rho_k = sum_{n,m} x_{n,m+k} conj(x_{n,m}) from one
+    length-2M FFT per row. Clamped at 0; each stack slice is its own 1 x M
+    product, so it is bit for bit the call on that slice."""
+    m = coeff.shape[0]
+    spec = np.fft.fft(rows, 2 * m)
+    rho = np.fft.ifft(np.sum(spec.real ** 2 + spec.imag ** 2, axis=-2))[..., :m]
+    rho[..., 1:] *= 2.0
+    return np.maximum((rho[..., None, :] @ coeff)[..., 0, :].real, 0.0)
+
+
 def complex_normal(shape, rng: np.random.Generator) -> np.ndarray:
     """Unit-variance circular complex Gaussian draws, real parts drawn first."""
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)

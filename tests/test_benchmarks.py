@@ -10,10 +10,10 @@ from risloc import (MISS_ERROR_DEG, ArraySpec, BeamformedData, LocalizerConfig,
                     SpectrumResult, music_estimate,
                     no_ris_localize, select_estimates, steering_vector,
                     trial_error)
-from risloc.benchmarks import _scan_norms, _signal_fraction
+from risloc.benchmarks import _signal_fraction
 from risloc.localizer import scan_vector
 from risloc.ris_optimizer import PhaseShiftMatrix
-from risloc.signal_model import steering_dictionary
+from risloc.signal_model import dictionary_power, steering_dictionary
 
 
 def unit_phases(seed, n, m):
@@ -132,7 +132,7 @@ def test_factored_music_denominator_equals_explicit_form(n, m, k, grid, aod,
     ref = np.sum(np.abs(noise_sub.conj().T @ d) ** 2, axis=0)
     coeff = steering_dictionary(ris, grid, aod, include_b)
     got = 1.0 - _signal_fraction(signal_sub, phases.matrix, coeff,
-                                 _scan_norms(phases.matrix, coeff))
+                                 dictionary_power(phases.matrix, coeff))
     assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(ref)
 
 

@@ -179,24 +179,29 @@ def test_chirp_columns_orthogonal_over_complete_orbit(rng):
 
 
 def chirp_columns_reference(m_elements, n_epoch, rng):
-    """_chirp_columns as one exp per column: the literal transcription."""
+    """_chirp_columns one column at a time, drawing from rng in its order:
+    each column as the literal root-table lookup, as one exp of its full
+    phase argument, and that argument."""
     m = np.arange(m_elements)
-    cols = []
+    roots = np.exp(1j * np.pi * np.arange(2 * m_elements) / m_elements)
+    table, direct, args = [], [], []
     rates = list(rng.permutation(np.arange(1, 2 * m_elements, 2)))
-    while len(cols) < n_epoch:
+    while len(table) < n_epoch:
         if not rates:
             rates = list(rng.permutation(np.arange(1, 2 * m_elements, 2)))
         q = rates.pop()
-        need = n_epoch - len(cols)
+        need = n_epoch - len(table)
         if need >= m_elements:
             shifts = np.arange(m_elements)
         else:
             shifts = np.round(np.arange(need) * m_elements / need).astype(int)
         glob = 2 * np.pi * rng.uniform()
         for r in shifts:
-            cols.append(np.exp(1j * (np.pi * q * m * m / m_elements
-                                     + 2 * np.pi * r * m / m_elements + glob)))
-    return np.stack(cols[:n_epoch], axis=1)
+            j = (q * m * m + 2 * r * m) % (2 * m_elements)
+            table.append(roots[j] * np.exp(1j * glob))
+            args.append(np.pi * q * m * m / m_elements + 2 * np.pi * r * m / m_elements + glob)
+            direct.append(np.exp(1j * args[-1]))
+    return tuple(np.stack(c, axis=1) for c in (table, direct, args))
 
 
 @st.composite
@@ -213,15 +218,20 @@ def chirp_shapes(draw):
 @example(shape=(64, 90), seed=2)
 @settings(max_examples=60, deadline=None)
 def test_chirp_columns_match_per_column_reference(shape, seed):
-    # one exp per orbit gives the per-column bits and consumes the
-    # generator in the same order: one permutation, one uniform per orbit,
-    # and a new permutation when the rates run out
+    # the orbit's table lookup gives the per-column lookup's bits and consumes
+    # the generator in the same order: one permutation, one uniform per orbit,
+    # and a new permutation when the rates run out. The phase argument of one
+    # exp per column reaches 2*pi*M^2 (about 2.5e4 rad at M = 64), where that
+    # exp is itself only good to about eps * |argument|; the lookup is within
+    # 16 eps (1 + |argument|) of it, the 1 for the rounding of exp and the
+    # product at a small argument.
     m, n = shape
     r_got, r_ref = np.random.default_rng(seed), np.random.default_rng(seed)
     got = _chirp_columns(m, n, r_got)
-    ref = chirp_columns_reference(m, n, r_ref)
-    assert got.shape == ref.shape == (m, n)
-    assert np.array_equal(got.view(float), ref.view(float))
+    table, direct, args = chirp_columns_reference(m, n, r_ref)
+    assert got.shape == table.shape == (m, n)
+    assert np.array_equal(got.view(float), table.view(float))
+    assert np.all(np.abs(got - direct) <= 16 * np.finfo(float).eps * (1 + np.abs(args)))
     assert r_got.bit_generator.state == r_ref.bit_generator.state
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import risloc.signal_model as sm
@@ -9,7 +9,7 @@ from risloc import (ArraySpec, NoiseModel, Waveform,
                     ris_incident, ris_reflect, simulate_epochs,
                     steering_matrix, steering_vector)
 from risloc.ris_optimizer import PhaseShiftMatrix
-from risloc.signal_model import steering_dictionary
+from risloc.signal_model import dictionary_power, steering_dictionary
 
 from conftest import make_scene
 
@@ -119,6 +119,56 @@ def test_cached_coefficients_are_keyed_on_values():
         cached[0, 0] = 0.0
     untapered = steering_dictionary(ris, [-20.0, 5.0, 40.0], 20.0, tapered=False)
     assert untapered is steering_dictionary(ris, [-20.0, 5.0, 40.0], -35.0, tapered=False)
+
+
+@st.composite
+def power_cases(draw):
+    m, n, stack = draw(st.integers(1, 64)), draw(st.integers(1, 6)), draw(st.integers(0, 3))
+    spacing = draw(st.sampled_from([0.1, 0.25, 0.5, 1.0, 2.0]))
+    grid = sorted(draw(st.lists(angles, min_size=1, max_size=40, unique=True)))
+    kind = draw(st.sampled_from(["gaussian", "coherent", "null", "ones", "zero"]))
+    return (m, n, stack, spacing, grid, draw(angles), draw(st.booleans()), kind,
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@given(case=power_cases())
+@example(case=(1, 1, 0, 0.5, [-30.0, 0.0], 10.0, False, "gaussian", 0))
+@example(case=(64, 90, 0, 0.5, [-89.5, -20.0, 0.25, 89.5], 12.0, True, "coherent", 1))
+@example(case=(16, 1, 2, 2.0, [-60.0, 45.0], -30.0, True, "ones", 2))
+@example(case=(8, 3, 2, 0.5, [-10.0, 10.0], 0.0, False, "zero", 3))
+@example(case=(32, 4, 0, 0.5, [-40.0, 7.5, 33.0], 20.0, True, "null", 4))
+@settings(max_examples=200, deadline=None)
+def test_dictionary_power_equals_the_literal_quadratic_form(case):
+    # the lag polynomial against sum_n |x_n^T c|^2 written out. The literal
+    # form is good to about eps * M * sum|x|^2; the kernel also reads row k
+    # of the dictionary as u^k, true to the rounding of the phases, which
+    # grows as eps * spacing * M. Bound: 8 eps M (1 + spacing M) sum|x|^2
+    # (over 3,000 random, all-ones and coherent draws the largest error was
+    # 2.0 eps M (1 + spacing M) sum|x|^2).
+    m, n, stack, spacing, grid, aod, tapered, kind, seed = case
+    r = np.random.default_rng(seed)
+    coeff = steering_dictionary(ArraySpec(m, spacing), grid, aod, tapered)
+    shape = (stack, n, m) if stack else (n, m)
+    if kind == "gaussian":
+        rows = r.standard_normal(shape) + 1j * r.standard_normal(shape)
+    elif kind == "coherent":  # each row matched to a grid column: the power peaks there
+        rows = coeff.T.conj()[r.integers(len(grid), size=shape[:-1])] * r.uniform(0.5, 2, shape)
+    elif kind == "null":  # every row with x^T c = 0 for the first column: a zero of the power
+        rows = r.standard_normal(shape) + 1j * r.standard_normal(shape)
+        rows -= (rows @ coeff[:, :1]) * coeff[:, 0].conj() / m
+    else:
+        rows = np.full(shape, 1.0 if kind == "ones" else 0.0, dtype=complex)
+    got = dictionary_power(rows, coeff)
+    ref = np.sum(np.abs(rows @ coeff) ** 2, axis=-2)
+    assert got.shape == ref.shape == shape[:-2] + (len(grid),)
+    bound = 8 * np.finfo(float).eps * m * (1 + spacing * m) * np.sum(np.abs(rows) ** 2,
+                                                                     axis=(-2, -1))
+    assert np.all(np.abs(got - ref) <= np.asarray(bound)[..., None])
+    assert np.all(got >= 0) and not np.signbit(got).any()
+    if kind == "zero":
+        assert np.array_equal(got, np.zeros_like(got))
+    for i in range(stack):  # a slice of a stack is the call on that slice, bit for bit
+        assert np.array_equal(got[i], dictionary_power(rows[i], coeff))
 
 
 # ------------------------------------------------------------- channels
