@@ -32,34 +32,25 @@ def music_estimate(data: BeamformedData, k_true: int, cfg: LocalizerConfig,
     k_true (degenerate inputs), the largest remaining grid values fill in.
 
     With noise (N_epoch x L), the acquisitions are data.z + s * noise, one per
-    entry s of scales, and a list of estimates per scale is returned. Their
-    Gram matrices A + s (B + B^H + s C), with A = Z Z^H, B = Z noise^H and
-    C = noise noise^H, share those three products and the scan norms.
-    Without noise, data alone is the single case s = 0 and one list of
-    estimates is returned.
+    entry s of scales, and a list of estimates per scale is returned (see
+    _signal_subspaces). Without noise, data alone is the single case s = 0
+    and one list of estimates is returned.
     """
     if not 1 <= k_true < data.n_epoch:
         raise ValueError(f"k_true must satisfy 1 <= k_true < n_epoch, got {k_true}")
     z = data.z
     if noise is None and len(scales):
         raise ValueError(f"scales ({len(scales)} entries) need a noise array, got noise=None")
+    if noise is not None and not len(scales):
+        raise ValueError("scales must have at least one entry when noise is given, got none")
     if noise is not None and np.shape(noise) != z.shape:
         raise ValueError(f"noise must have the shape {z.shape} of data.z, "
                          f"got {np.shape(noise)}")
-    gram = z @ z.conj().T
-    if noise is None:
-        grams = [gram]
-    else:
-        cross = z @ noise.conj().T
-        cross += cross.conj().T
-        noise_gram = noise @ noise.conj().T
-        grams = (gram + s * (cross + s * noise_gram) for s in scales)
     coeff = steering_dictionary(ris, cfg.grid, aod_ris_pr, cfg.include_b)
     norms = dictionary_power(phases.matrix, coeff)  # ||d||^2 for every scan vector d
     estimates = []
-    for g in grams:
-        _, vecs = np.linalg.eigh(g)  # ascending eigenvalues
-        q = _signal_fraction(vecs[:, data.n_epoch - k_true:], phases.matrix, coeff, norms)
+    for sub in _signal_subspaces(z, k_true, noise, scales):
+        q = _signal_fraction(sub, phases.matrix, coeff, norms)
         order = sorted(_peak_indices(q), key=lambda i: -q[i])
         picked = order[:k_true]
         if len(picked) < k_true:
@@ -67,6 +58,69 @@ def music_estimate(data: BeamformedData, k_true: int, cfg: LocalizerConfig,
             picked.extend(rest[: k_true - len(picked)])
         estimates.append(sorted(float(cfg.grid[i]) for i in picked))
     return estimates[0] if noise is None else estimates
+
+
+def _signal_subspaces(z: np.ndarray, k: int, noise: Optional[np.ndarray] = None,
+                      scales: Sequence[float] = ()) -> List[np.ndarray]:
+    """Orthonormal N x k bases of the k leading eigenvectors of the Gram matrix
+    of z, or of z + s * noise for each s in scales.
+
+    Those Gram matrices are A + s (B + B^H + s C), with A = z z^H, B = z noise^H
+    and C = noise noise^H, and each is given to eigh. When z = g t^T is rank
+    one (every path carries one waveform), the matrix is also s^2 C + U D U^H,
+    with U = [g, noise conj(t)] and D = [[||t||^2, s], [s, 0]]. Then one eigh
+    C = Q diag(lam) Q^H serves every s: with W = Q^H U, an eigenvalue mu of
+    s^2 diag(lam) + W D W^H (from eigvalsh) has the eigenvector
+    Q (mu - s^2 lam)^-1 W t, t the null vector of I - D W^H (mu - s^2 lam)^-1 W
+    (Bunch, Nielsen & Sorensen, Numer. Math. 31, 1978). A scale of 0, and a
+    mu within rounding of a pole s^2 lam_i, keep eigh.
+    """
+    n = z.shape[0]
+    a = z @ z.conj().T
+    if noise is None:
+        return [np.linalg.eigh(a)[1][:, n - k:]]  # ascending eigenvalues
+    b = z @ noise.conj().T
+    b += b.conj().T
+    c = noise @ noise.conj().T
+    factor = _rank_one_factor(z)
+    if factor is not None:
+        g, t = factor
+        lam, q = np.linalg.eigh(c)
+        w = q.conj().T @ np.stack([g, noise @ t.conj()], axis=1)
+    subs = []
+    for s in scales:
+        y = None if factor is None or s == 0 else _rank_two_subspace(
+            s * s * lam, w, np.array([[np.vdot(t, t).real, s], [s, 0.0]]), k)
+        subs.append(np.linalg.eigh(a + s * (b + s * c))[1][:, n - k:] if y is None else q @ y)
+    return subs
+
+
+def _rank_one_factor(z: np.ndarray):
+    """(g, t) with z = g t^T to rounding, g the largest-norm column of z and
+    t = z^T conj(g) / ||g||^2; None if z is not rank one."""
+    g = z[:, np.argmax(np.linalg.norm(z, axis=0))]
+    g2 = np.vdot(g, g).real
+    if g2 == 0.0:
+        return None
+    t = z.T @ g.conj() / g2
+    return (g, t) if np.linalg.norm(z - np.outer(g, t)) <= 1e-12 * np.linalg.norm(z) else None
+
+
+def _rank_two_subspace(poles: np.ndarray, w: np.ndarray, d: np.ndarray, k: int):
+    """Orthonormal k leading eigenvectors of diag(poles) + W D W^H (W N x 2,
+    D 2 x 2 Hermitian), or None if one of their eigenvalues is within
+    rounding of a pole."""
+    inner = (w @ d) @ w.conj().T
+    inner[np.diag_indices_from(inner)] += poles
+    mu = np.linalg.eigvalsh(inner)[-k:]
+    gaps = mu[:, None] - poles
+    if np.min(np.abs(gaps)) <= poles.size * np.finfo(float).eps * abs(mu[-1]):
+        return None
+    r = 1.0 / gaps  # k x N
+    m = np.eye(2) - d @ ((w.conj().T * r[:, None, :]) @ w)  # k x 2 x 2
+    # the larger row (a, b) of each m annihilates its null vector (b, -a)
+    row = m[np.arange(k), np.argmax(np.linalg.norm(m, axis=2), axis=1)]
+    return np.linalg.qr((w @ np.stack([row[:, 1], -row[:, 0]])) * r.T)[0]
 
 
 def _signal_fraction(signal_sub: np.ndarray, basis: np.ndarray, coeff: np.ndarray,

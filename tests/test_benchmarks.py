@@ -1,5 +1,6 @@
 import itertools
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from risloc import (MISS_ERROR_DEG, ArraySpec, BeamformedData, LocalizerConfig,
                     SpectrumResult, music_estimate,
                     no_ris_localize, select_estimates, steering_vector,
                     trial_error)
-from risloc.benchmarks import _signal_fraction
+from risloc.benchmarks import _signal_fraction, _signal_subspaces
 from risloc.localizer import scan_vector
 from risloc.ris_optimizer import PhaseShiftMatrix
 from risloc.signal_model import dictionary_power, steering_dictionary
@@ -21,12 +22,14 @@ def unit_phases(seed, n, m):
     return PhaseShiftMatrix(np.exp(1j * r.uniform(0, 2 * np.pi, (n, m))))
 
 
-def source_data(phases, ris, thetas, aod, seed=0, n_samples=120):
+def source_data(phases, ris, thetas, aod, seed=0, n_samples=120, coherent=False):
+    # coherent: every source carries the first waveform, so z is rank one
     r = np.random.default_rng(seed)
     z = np.zeros((phases.n_epoch, n_samples), dtype=complex)
-    for theta in thetas:
-        s = (r.standard_normal(n_samples)
-             + 1j * r.standard_normal(n_samples)) / np.sqrt(2)
+    for i, theta in enumerate(thetas):
+        if i == 0 or not coherent:
+            s = (r.standard_normal(n_samples)
+                 + 1j * r.standard_normal(n_samples)) / np.sqrt(2)
         z += np.outer(scan_vector(theta, phases, ris, aod), s)
     return BeamformedData(z)
 
@@ -68,10 +71,13 @@ def test_music_validates_model_order():
         music_estimate(data, 0, CFG, phases, ris, 20.0)
     with pytest.raises(ValueError):
         music_estimate(data, 4, CFG, phases, ris, 20.0)
-    # scales without noise, or noise of another shape than data.z, fail
-    # with a message naming them rather than being ignored or failing in matmul
+    # scales without noise, noise without scales, or noise of another shape
+    # than data.z, fail with a message naming them rather than being ignored,
+    # returning no estimates or failing in matmul
     with pytest.raises(ValueError, match="scales .*noise=None"):
         music_estimate(data, 1, CFG, phases, ris, 20.0, scales=[0.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match="scales must have at least one entry"):
+        music_estimate(data, 1, CFG, phases, ris, 20.0, noise=np.zeros(data.z.shape), scales=())
     for noise in (np.zeros((4, 7)), np.zeros(data.z.shape[1]), np.zeros(data.z.shape[::-1])):
         with pytest.raises(ValueError, match=rf"noise must have the shape \(4, 120\) .*"
                                              rf"{re.escape(str(noise.shape))}"):
@@ -153,18 +159,22 @@ def explicit_music(z, k, cfg, phases, ris, aod):
 
 @given(n=st.integers(6, 12), m=st.integers(8, 16), seed=st.integers(0, 2 ** 32 - 1),
        thetas=st.sampled_from([[25.0], [-40.0, 15.0], [-45.0, -10.0, 30.0]]),
-       scales=st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=4))
+       scales=st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=4),
+       coherent=st.booleans())
 @settings(max_examples=60, deadline=None)
-@example(n=10, m=8, seed=91, thetas=[-45.0, -10.0, 30.0], scales=[8.0])  # a fill-in
-def test_music_over_scales_equals_one_call_per_acquisition(n, m, seed, thetas, scales):
+@example(n=10, m=8, seed=91, thetas=[-45.0, -10.0, 30.0], scales=[8.0],
+         coherent=False)  # a fill-in
+def test_music_over_scales_equals_one_call_per_acquisition(n, m, seed, thetas, scales,
+                                                           coherent):
     # the sweep's form: one call for the acquisitions z0 + s * noise, with the
     # noise-free s = 0 (an SNR of +inf) first; its picks must be those of one
     # call per acquisition, and of the explicit noise-subspace form. With
     # fewer than k interior maxima the explicit form returns those alone, and
-    # music_estimate fills in from the other grid points
+    # music_estimate fills in from the other grid points. A coherent z0 is
+    # rank one, as the sweep's is, so the call takes the rank-two update
     ris = ArraySpec(m)
     phases = unit_phases(seed, n, m)
-    z0 = source_data(phases, ris, thetas, 20.0, seed=seed, n_samples=60).z
+    z0 = source_data(phases, ris, thetas, 20.0, seed=seed, n_samples=60, coherent=coherent).z
     r = np.random.default_rng(seed + 1)
     noise = (r.standard_normal(z0.shape) + 1j * r.standard_normal(z0.shape)) / np.sqrt(2)
     scales = [0.0] + scales
@@ -175,12 +185,64 @@ def test_music_over_scales_equals_one_call_per_acquisition(n, m, seed, thetas, s
     for s, est in zip(scales, got):
         acquisition = z0 + s * noise
         assert est == music_estimate(BeamformedData(acquisition), k, CFG, phases, ris, 20.0)
+        lam = np.linalg.eigvalsh(acquisition @ acquisition.conj().T)
+        if lam[n - k] - lam[n - k - 1] <= 1e-9 * lam[-1]:
+            continue  # the k leading eigenvectors are not unique (coherent, s = 0)
         ref = explicit_music(acquisition, k, CFG, phases, ris, 20.0)
         if len(ref) == k:
             assert est == ref
         else:
             assert len(est) == k and set(ref) < set(est)
-    assert got[0] == sorted(thetas)
+    if not coherent:
+        assert got[0] == sorted(thetas)
+
+
+RANK_TWO_C = 1e3  # allowed projector error, in units of eps ||G|| / (lambda_k - lambda_k+1)
+
+
+@given(n=st.integers(3, 12), l=st.integers(1, 24), k=st.integers(1, 11),
+       m=st.integers(4, 12), seed=st.integers(0, 2 ** 32 - 1),
+       scales=st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_rank_two_update_matches_eigh(n, l, k, m, seed, scales):
+    # z0 = g t^T as in the sweep, with L up to 2N, so C = noise noise^H is
+    # singular when L < N. The structured path's projector S S^H is held to
+    # eigh's within RANK_TWO_C eps ||G|| / gap, the size of eigh's own error
+    l, k = min(l, 2 * n), min(k, n - 1)
+    r = np.random.default_rng(seed)
+
+    def cn(*shape):
+        return (r.standard_normal(shape) + 1j * r.standard_normal(shape)) / np.sqrt(2)
+
+    z0, noise = np.outer(cn(n), cn(l)), cn(n, l)
+    a = z0 @ z0.conj().T
+    b = z0 @ noise.conj().T
+    b += b.conj().T
+    c = noise @ noise.conj().T
+    for s, sub in zip(scales, _signal_subspaces(z0, k, noise, scales)):
+        gram = a + s * (b + s * c)
+        lam, vecs = np.linalg.eigh(gram)
+        err = np.linalg.norm(sub @ sub.conj().T - vecs[:, n - k:] @ vecs[:, n - k:].conj().T, 2)
+        # err * gap, so that a gap of 0 needs no division
+        assert (err * (lam[n - k] - lam[n - k - 1])
+                <= RANK_TWO_C * np.finfo(float).eps * np.linalg.norm(gram, 2))
+        if k > l:  # rank(gram) <= L, so lambda_k = 0 is a pole: eigh is kept
+            assert np.array_equal(sub, vecs[:, n - k:])
+
+    # noise=None, a scale of 0 and a rank-two z0 give the dense path's picks
+    # (eigh of every Gram matrix) exactly
+    ris, phases = ArraySpec(m), unit_phases(seed, n, m)
+    z2 = z0 + np.outer(cn(n), cn(l))
+    scales = [0.0] + scales
+
+    def picks(z, **kw):
+        return music_estimate(BeamformedData(z), k, CFG, phases, ris, 20.0, **kw)
+
+    with mock.patch("risloc.benchmarks._rank_one_factor", return_value=None):
+        dense = [picks(z, noise=noise, scales=scales) for z in (z0, z2)]
+    assert picks(z0) == picks(z0, noise=noise, scales=scales)[0] == dense[0][0]
+    if l > 1:  # an N x 1 z2 is rank one too
+        assert picks(z2, noise=noise, scales=scales) == dense[1]
 
 
 # ------------------------------------------------------------------ no-RIS
