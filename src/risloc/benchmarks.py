@@ -69,29 +69,35 @@ def _signal_subspaces(z: np.ndarray, k: int, noise: Optional[np.ndarray] = None,
     and C = noise noise^H, and each is given to eigh. When z = g t^T is rank
     one (every path carries one waveform), the matrix is also s^2 C + U D U^H,
     with U = [g, noise conj(t)] and D = [[||t||^2, s], [s, 0]]. Then one eigh
-    C = Q diag(lam) Q^H serves every s: with W = Q^H U, an eigenvalue mu of
-    s^2 diag(lam) + W D W^H (from eigvalsh) has the eigenvector
-    Q (mu - s^2 lam)^-1 W t, t the null vector of I - D W^H (mu - s^2 lam)^-1 W
-    (Bunch, Nielsen & Sorensen, Numer. Math. 31, 1978). A scale of 0, and a
-    mu within rounding of a pole s^2 lam_i, keep eigh.
+    C = Q diag(lam) Q^H serves every s: with W = Q^H U, the k largest
+    eigenvalues mu of s^2 diag(lam) + W D W^H (from _top_eigenvalues, for all
+    nonzero s at once) have the eigenvectors Q (mu - s^2 lam)^-1 W t, t the
+    null vector of I - D W^H (mu - s^2 lam)^-1 W (Bunch, Nielsen & Sorensen,
+    Numer. Math. 31, 1978). A scale of 0, and a mu within rounding of a pole
+    s^2 lam_i, keep eigh; A and B are formed only for them.
     """
     n = z.shape[0]
-    a = z @ z.conj().T
     if noise is None:
-        return [np.linalg.eigh(a)[1][:, n - k:]]  # ascending eigenvalues
-    b = z @ noise.conj().T
-    b += b.conj().T
+        return [np.linalg.eigh(z @ z.conj().T)[1][:, n - k:]]  # ascending eigenvalues
     c = noise @ noise.conj().T
     factor = _rank_one_factor(z)
     if factor is not None:
         g, t = factor
         lam, q = np.linalg.eigh(c)
         w = q.conj().T @ np.stack([g, noise @ t.conj()], axis=1)
-    subs = []
+        tt = np.vdot(t, t).real
+        nonzero = np.array([s for s in scales if s != 0], dtype=float)
+        mus = iter(_top_eigenvalues(lam, w, tt, nonzero, k))
+    subs, dense = [], None
     for s in scales:
         y = None if factor is None or s == 0 else _rank_two_subspace(
-            s * s * lam, w, np.array([[np.vdot(t, t).real, s], [s, 0.0]]), k)
-        subs.append(np.linalg.eigh(a + s * (b + s * c))[1][:, n - k:] if y is None else q @ y)
+            s * s * lam, w, np.array([[tt, s], [s, 0.0]]), next(mus))
+        if y is None and dense is None:
+            b = z @ noise.conj().T
+            b += b.conj().T
+            dense = z @ z.conj().T, b
+        subs.append(np.linalg.eigh(dense[0] + s * (dense[1] + s * c))[1][:, n - k:]
+                    if y is None else q @ y)
     return subs
 
 
@@ -106,16 +112,64 @@ def _rank_one_factor(z: np.ndarray):
     return (g, t) if np.linalg.norm(z - np.outer(g, t)) <= 1e-12 * np.linalg.norm(z) else None
 
 
-def _rank_two_subspace(poles: np.ndarray, w: np.ndarray, d: np.ndarray, k: int):
-    """Orthonormal k leading eigenvectors of diag(poles) + W D W^H (W N x 2,
-    D 2 x 2 Hermitian), or None if one of their eigenvalues is within
-    rounding of a pole."""
-    inner = (w @ d) @ w.conj().T
-    inner[np.diag_indices_from(inner)] += poles
-    mu = np.linalg.eigvalsh(inner)[-k:]
+def _top_eigenvalues(lam: np.ndarray, w: np.ndarray, tt: float, scales: np.ndarray,
+                     k: int) -> np.ndarray:
+    """The k largest eigenvalues, ascending, of s^2 diag(lam) + W D W^H with
+    D = [[tt, s], [s, 0]], for every nonzero s in scales (S x k; lam ascending,
+    W N x 2).
+
+    By bisection on the count of eigenvalues above x. With
+    R = (s^2 diag(lam) - x)^-1, the inertia of [[s^2 diag(lam) - x, W],
+    [W^H, -D^-1]] read through either Schur complement (Haynsworth), and the
+    one positive and one negative eigenvalue of D, give
+    #{eig > x} = #{s^2 lam_i > x} + #pos(-D^-1 - W^H R W) - 1. Through
+    diag(1, s) the 2 x 2 matrix is congruent to [[-a, -1 - s b],
+    [-1 - s conj(b), tt - s^2 c]], with a, b, c the sums over i of r_i times
+    |w_i0|^2, conj(w_i0) w_i1 and |w_i1|^2. Its determinant is
+    s^2 (a c - |b|^2) - tt a - 2 s Re b - 1, and a c - |b|^2 is taken as
+    sum_{i<j} r_i r_j |w_i0 w_j1 - w_j0 w_i1|^2 (Lagrange's identity), in
+    which the r_i^2 terms that cancel in a c - |b|^2 are absent (next to a
+    pole, that cancellation cost up to 3,553 eps ||G|| in the eigenvalues of
+    random draws). So each step is one (S k x N) @ (N x N + 2) product, and
+    the signs of the same r_i count the poles above x. Every eigenvalue lies
+    within rho = tt ||w_0||^2 + 2 |s| ||w_0|| ||w_1|| >= ||W D W^H|| of the
+    poles (Weyl), and each bracket is halved until its midpoint stops moving.
+    """
+    n = lam.size
+    w0, w1 = w.T
+    cross = np.abs(np.outer(w0, w1) - np.outer(w1, w0)) ** 2  # zero diagonal
+    kernel = np.column_stack([0.5 * cross, np.abs(w0) ** 2, (w0.conj() * w1).real])
+    n0, n1 = np.linalg.norm(w, axis=0)
+    s = np.repeat(scales, k)  # one row per (scale, rank)
+    rank = np.tile(np.arange(k, 0, -1), scales.size)  # the rank-th largest
+    poles = (s * s)[:, None] * lam
+    rho = tt * n0 * n0 + 2 * np.abs(s) * n0 * n1
+    lo, hi = poles[:, 0] - rho, poles[:, -1] + rho
+    mid = 0.5 * (lo + hi)
+    active = (lo < mid) & (mid < hi)
+    with np.errstate(all="ignore"):  # x on or within a few ulps of a pole
+        while active.any():
+            r = 1.0 / (poles - mid[:, None])
+            prod = r @ kernel
+            a, b_re = prod[:, n], prod[:, n + 1]
+            det = s * s * np.sum(prod[:, :n] * r, axis=1) - tt * a - 2 * s * b_re - 1
+            positive = np.where(det < 0, 1, np.where(a < 0, 2, 0))
+            above = np.count_nonzero(r > 0, axis=1) + positive - 1 >= rank
+            lo = np.where(active & above, mid, lo)
+            hi = np.where(active & ~above, mid, hi)
+            mid = 0.5 * (lo + hi)
+            active = (lo < mid) & (mid < hi)
+    return mid.reshape(scales.size, k)
+
+
+def _rank_two_subspace(poles: np.ndarray, w: np.ndarray, d: np.ndarray, mu: np.ndarray):
+    """Orthonormal eigenvectors of diag(poles) + W D W^H (W N x 2, D 2 x 2
+    Hermitian) for its k largest eigenvalues mu (ascending), or None if one of
+    them is within rounding of a pole."""
     gaps = mu[:, None] - poles
     if np.min(np.abs(gaps)) <= poles.size * np.finfo(float).eps * abs(mu[-1]):
         return None
+    k = mu.size
     r = 1.0 / gaps  # k x N
     m = np.eye(2) - d @ ((w.conj().T * r[:, None, :]) @ w)  # k x 2 x 2
     # the larger row (a, b) of each m annihilates its null vector (b, -a)

@@ -11,7 +11,8 @@ from risloc import (MISS_ERROR_DEG, ArraySpec, BeamformedData, LocalizerConfig,
                     SpectrumResult, music_estimate,
                     no_ris_localize, select_estimates, steering_vector,
                     trial_error)
-from risloc.benchmarks import _signal_fraction, _signal_subspaces
+from risloc.benchmarks import (_rank_one_factor, _signal_fraction, _signal_subspaces,
+                               _top_eigenvalues)
 from risloc.localizer import scan_vector
 from risloc.ris_optimizer import PhaseShiftMatrix
 from risloc.signal_model import dictionary_power, steering_dictionary
@@ -198,23 +199,42 @@ def test_music_over_scales_equals_one_call_per_acquisition(n, m, seed, thetas, s
 
 
 RANK_TWO_C = 1e3  # allowed projector error, in units of eps ||G|| / (lambda_k - lambda_k+1)
+TOP_EIGENVALUE_C = 64  # allowed eigenvalue error, in units of eps ||G||
 
 
-@given(n=st.integers(3, 12), l=st.integers(1, 24), k=st.integers(1, 11),
-       m=st.integers(4, 12), seed=st.integers(0, 2 ** 32 - 1),
-       scales=st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=4))
-@settings(max_examples=150, deadline=None)
-def test_rank_two_update_matches_eigh(n, l, k, m, seed, scales):
-    # z0 = g t^T as in the sweep, with L up to 2N, so C = noise noise^H is
-    # singular when L < N. The structured path's projector S S^H is held to
-    # eigh's within RANK_TWO_C eps ||G|| / gap, the size of eigh's own error
-    l, k = min(l, 2 * n), min(k, n - 1)
+def _decades(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+# unit-scale draws, and draws over decades, where ||g|| / ||noise conj(t)||
+# reaches 1e3 and s^2 ||C|| / ||U D U^H|| reaches 1e14, either way up
+_rank_one_cases = dict(
+    n=st.integers(3, 12), l=st.integers(1, 24), k=st.integers(1, 11),
+    seed=st.integers(0, 2 ** 32 - 1),
+    g_norm=st.one_of(st.just(1.0), _decades(-3.0, 3.0)),
+    scales=st.lists(st.one_of(st.floats(1e-3, 10.0), _decades(-4.0, 4.0)),
+                    min_size=1, max_size=4))
+
+
+def rank_one_draw(n, l, seed, g_norm):
+    """z0 = g t^T as in the sweep, ||g|| about g_norm, unit noise (both
+    N x L), and the function that drew them, for further draws."""
     r = np.random.default_rng(seed)
 
     def cn(*shape):
         return (r.standard_normal(shape) + 1j * r.standard_normal(shape)) / np.sqrt(2)
 
-    z0, noise = np.outer(cn(n), cn(l)), cn(n, l)
+    return np.outer(g_norm * cn(n), cn(l)), cn(n, l), cn
+
+
+@given(m=st.integers(4, 12), **_rank_one_cases)
+@settings(max_examples=150, deadline=None)
+def test_rank_two_update_matches_eigh(n, l, k, m, seed, g_norm, scales):
+    # z0 = g t^T as in the sweep, with L up to 2N, so C = noise noise^H is
+    # singular when L < N. The structured path's projector S S^H is held to
+    # eigh's within RANK_TWO_C eps ||G|| / gap, the size of eigh's own error
+    l, k = min(l, 2 * n), min(k, n - 1)
+    z0, noise, cn = rank_one_draw(n, l, seed, g_norm)
     a = z0 @ z0.conj().T
     b = z0 @ noise.conj().T
     b += b.conj().T
@@ -243,6 +263,26 @@ def test_rank_two_update_matches_eigh(n, l, k, m, seed, scales):
     assert picks(z0) == picks(z0, noise=noise, scales=scales)[0] == dense[0][0]
     if l > 1:  # an N x 1 z2 is rank one too
         assert picks(z2, noise=noise, scales=scales) == dense[1]
+
+
+@given(**_rank_one_cases)
+@settings(max_examples=150, deadline=None)
+def test_top_eigenvalues_match_eigvalsh(n, l, k, seed, g_norm, scales):
+    # the bisection's k largest eigenvalues of s^2 C + U D U^H, against
+    # eigvalsh of the Gram matrix, where no eigenvalue sits on a pole: with
+    # K <= L, lambda_K > 0 is not one of the N - L zero eigenvalues of C
+    l = min(l, 2 * n)
+    k = min(k, n - 1, l)
+    z0, noise, _ = rank_one_draw(n, l, seed, g_norm)
+    g, t = _rank_one_factor(z0)
+    lam, q = np.linalg.eigh(noise @ noise.conj().T)
+    w = q.conj().T @ np.stack([g, noise @ t.conj()], axis=1)
+    mu = _top_eigenvalues(lam, w, np.vdot(t, t).real, np.asarray(scales), k)
+    assert mu.shape == (len(scales), k)
+    for s, got in zip(scales, mu):
+        gram = (z0 + s * noise) @ (z0 + s * noise).conj().T
+        assert (np.max(np.abs(got - np.linalg.eigvalsh(gram)[n - k:]))
+                <= TOP_EIGENVALUE_C * np.finfo(float).eps * np.linalg.norm(gram, 2))
 
 
 # ------------------------------------------------------------------ no-RIS

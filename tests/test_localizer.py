@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from risloc import (ArraySpec, BeamformedData, LocalizerConfig, default_grid,
@@ -10,6 +10,7 @@ from risloc import (ArraySpec, BeamformedData, LocalizerConfig, default_grid,
                     steering_vector)
 from risloc.localizer import _peak_indices, _step_denominator, nlms_adapt
 from risloc.ris_optimizer import PhaseShiftMatrix
+from risloc.signal_model import dictionary_power, steering_dictionary
 
 
 def unit_phases(seed, n, m):
@@ -318,6 +319,36 @@ def test_longer_adaptation_sharpens_contrast():
     long = spectrum(rank_one_data(phases, ris, 10.0, 20.0, n_samples=400),
                     cfg, phases, ris, 20.0)
     np.testing.assert_allclose(long.normalized, short.normalized, atol=1e-12)
+
+
+@given(n=st.integers(1, 12), m=st.integers(1, 8), n_samples=st.integers(1, 40),
+       mu=st.floats(1e-3, 1.0), epsilon=st.floats(0.0, 1.0), aod=st.floats(-60.0, 60.0),
+       include_b=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_noise_free_spectrum_is_bartlett_of_g(n, m, n_samples, mu, epsilon, aod,
+                                              include_b, seed):
+    # for z = g s^T each NLMS step scales the part of d - a_hat along g by
+    # f_l = 1 - c_l |s_l|^2 ||g||^2 and keeps the rest, so from a_hat = 0,
+    # a_hat_L(d) = kappa g g^H d / ||g||^2 with kappa = 1 - prod f_l for every
+    # d: the normalized spectrum is |g^H V c(theta)|^2 over its maximum, the
+    # Bartlett beamformer of g on the virtual array, whatever L, mu and
+    # epsilon. The kernel's rounding grows with the largest partial product
+    # of |f_l| and with 1 / |kappa|; the largest error over 4,000 draws was
+    # 2.2 eps (M + L growth / |kappa|)
+    r = np.random.default_rng(seed)
+    g, s = [(r.standard_normal(k) + 1j * r.standard_normal(k)) / np.sqrt(2)
+            for k in (n, n_samples)]
+    cfg = coarse_cfg(mu=mu, epsilon=epsilon, include_b=include_b)
+    f = 1 - mu * np.abs(s) ** 2 * np.vdot(g, g).real / (np.linalg.norm(g) * np.abs(s) + epsilon)
+    kappa = 1 - np.prod(f)
+    assume(kappa != 0)  # a_hat stays at 0
+    growth = max(1.0, np.max(np.cumprod(np.abs(f))), np.max(np.cumprod(np.abs(f[::-1]))))
+    ris, phases = ArraySpec(m), unit_phases(seed, n, m)
+    coeff = steering_dictionary(ris, cfg.grid, aod, include_b)
+    bartlett = dictionary_power((g.conj() @ phases.matrix)[None], coeff)
+    got = spectrum(BeamformedData(np.outer(g, s)), cfg, phases, ris, aod).normalized
+    assert (np.max(np.abs(got - bartlett / bartlett.max()))
+            <= 16 * np.finfo(float).eps * (m + n_samples * growth / abs(kappa)))
 
 
 @pytest.mark.parametrize("scale", [2.0, 0.5j])
