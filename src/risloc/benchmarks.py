@@ -49,8 +49,8 @@ def music_estimate(data: BeamformedData, k_true: int, cfg: LocalizerConfig,
     coeff = steering_dictionary(ris, cfg.grid, aod_ris_pr, cfg.include_b)
     norms = dictionary_power(phases.matrix, coeff)  # ||d||^2 for every scan vector d
     estimates = []
-    for sub in _signal_subspaces(z, k_true, noise, scales):
-        q = _signal_fraction(sub, phases.matrix, coeff, norms)
+    for q in _signal_fraction(_signal_subspaces(z, k_true, noise, scales),
+                              phases.matrix, coeff, norms):
         order = sorted(_peak_indices(q), key=lambda i: -q[i])
         picked = order[:k_true]
         if len(picked) < k_true:
@@ -61,43 +61,50 @@ def music_estimate(data: BeamformedData, k_true: int, cfg: LocalizerConfig,
 
 
 def _signal_subspaces(z: np.ndarray, k: int, noise: Optional[np.ndarray] = None,
-                      scales: Sequence[float] = ()) -> List[np.ndarray]:
+                      scales: Sequence[float] = ()) -> np.ndarray:
     """Orthonormal N x k bases of the k leading eigenvectors of the Gram matrix
-    of z, or of z + s * noise for each s in scales.
+    of z, or of z + s * noise for each s in scales, stacked S x N x k (S = 1
+    without noise).
 
     Those Gram matrices are A + s (B + B^H + s C), with A = z z^H, B = z noise^H
-    and C = noise noise^H, and each is given to eigh. When z = g t^T is rank
-    one (every path carries one waveform), the matrix is also s^2 C + U D U^H,
-    with U = [g, noise conj(t)] and D = [[||t||^2, s], [s, 0]]. Then one eigh
-    C = Q diag(lam) Q^H serves every s: with W = Q^H U, the k largest
-    eigenvalues mu of s^2 diag(lam) + W D W^H (from _top_eigenvalues, for all
-    nonzero s at once) have the eigenvectors Q (mu - s^2 lam)^-1 W t, t the
-    null vector of I - D W^H (mu - s^2 lam)^-1 W (Bunch, Nielsen & Sorensen,
-    Numer. Math. 31, 1978). A scale of 0, and a mu within rounding of a pole
-    s^2 lam_i, keep eigh; A and B are formed only for them.
+    and C = noise noise^H, and each is given to eigh. Noise with no nonzero
+    entry leaves every acquisition z, so each scale gets the one eigh of A.
+    When z = g t^T is rank one (every path carries one waveform), the matrix
+    is also s^2 C + U D U^H, with U = [g, noise conj(t)] and
+    D = [[||t||^2, s], [s, 0]]. Then one eigh C = Q diag(lam) Q^H serves every
+    s: with W = Q^H U, the k largest eigenvalues mu of s^2 diag(lam) + W D W^H
+    (from _top_eigenvalues, for all nonzero s at once) have the eigenvectors
+    Q (mu - s^2 lam)^-1 W t, t the null vector of I - D W^H (mu - s^2 lam)^-1 W
+    (Bunch, Nielsen & Sorensen, Numer. Math. 31, 1978), found for all those s
+    in one batch by _rank_two_subspaces. A scale of 0, and a scale with a mu
+    within rounding of a pole s^2 lam_i, keep eigh; A and B are formed only
+    for them.
     """
     n = z.shape[0]
-    if noise is None:
-        return [np.linalg.eigh(z @ z.conj().T)[1][:, n - k:]]  # ascending eigenvalues
+    if noise is None or not np.any(noise):
+        sub = np.linalg.eigh(z @ z.conj().T)[1][:, n - k:]  # ascending eigenvalues
+        return np.repeat(sub[None], max(len(scales), 1), axis=0)
+    scales = np.asarray(scales, dtype=float)
+    subs = np.empty((scales.size, n, k), dtype=complex)
     c = noise @ noise.conj().T
+    done = np.zeros(scales.size, dtype=bool)
     factor = _rank_one_factor(z)
     if factor is not None:
         g, t = factor
         lam, q = np.linalg.eigh(c)
         w = q.conj().T @ np.stack([g, noise @ t.conj()], axis=1)
         tt = np.vdot(t, t).real
-        nonzero = np.array([s for s in scales if s != 0], dtype=float)
-        mus = iter(_top_eigenvalues(lam, w, tt, nonzero, k))
-    subs, dense = [], None
-    for s in scales:
-        y = None if factor is None or s == 0 else _rank_two_subspace(
-            s * s * lam, w, np.array([[tt, s], [s, 0.0]]), next(mus))
-        if y is None and dense is None:
-            b = z @ noise.conj().T
-            b += b.conj().T
-            dense = z @ z.conj().T, b
-        subs.append(np.linalg.eigh(dense[0] + s * (dense[1] + s * c))[1][:, n - k:]
-                    if y is None else q @ y)
+        done = scales != 0
+        mu = _top_eigenvalues(lam, w, tt, scales[done], k)
+        y, kept = _rank_two_subspaces(lam, w, tt, scales[done], mu)
+        done[done] = kept
+        subs[done] = q @ y
+    if not done.all():
+        b = z @ noise.conj().T
+        b += b.conj().T
+        a = z @ z.conj().T
+        for i in np.flatnonzero(~done):
+            subs[i] = np.linalg.eigh(a + scales[i] * (b + scales[i] * c))[1][:, n - k:]
     return subs
 
 
@@ -162,29 +169,37 @@ def _top_eigenvalues(lam: np.ndarray, w: np.ndarray, tt: float, scales: np.ndarr
     return mid.reshape(scales.size, k)
 
 
-def _rank_two_subspace(poles: np.ndarray, w: np.ndarray, d: np.ndarray, mu: np.ndarray):
-    """Orthonormal eigenvectors of diag(poles) + W D W^H (W N x 2, D 2 x 2
-    Hermitian) for its k largest eigenvalues mu (ascending), or None if one of
-    them is within rounding of a pole."""
-    gaps = mu[:, None] - poles
-    if np.min(np.abs(gaps)) <= poles.size * np.finfo(float).eps * abs(mu[-1]):
-        return None
-    k = mu.size
-    r = 1.0 / gaps  # k x N
-    m = np.eye(2) - d @ ((w.conj().T * r[:, None, :]) @ w)  # k x 2 x 2
+def _rank_two_subspaces(lam: np.ndarray, w: np.ndarray, tt: float, scales: np.ndarray,
+                        mu: np.ndarray):
+    """Orthonormal eigenvectors of s^2 diag(lam) + W D W^H, D = [[tt, s], [s, 0]]
+    (W N x 2), for its k largest eigenvalues mu (S x k, ascending), for every
+    scale s in scales at once: (S' x N x k, kept), with kept (S) true for the
+    S' scales whose eigenvalues all lie clear of the poles s^2 lam_i."""
+    poles = (scales * scales)[:, None] * lam
+    gaps = mu[:, :, None] - poles[:, None, :]  # S x k x N
+    kept = (np.min(np.abs(gaps), axis=(1, 2))
+            > lam.size * np.finfo(float).eps * np.abs(mu[:, -1]))
+    r = 1.0 / gaps[kept]
+    d = np.zeros((r.shape[0], 1, 2, 2))
+    d[..., 0, 0] = tt
+    d[..., 0, 1] = d[..., 1, 0] = scales[kept, None]
+    m = np.eye(2) - d @ ((w.conj().T * r[..., None, :]) @ w)  # S' x k x 2 x 2
     # the larger row (a, b) of each m annihilates its null vector (b, -a)
-    row = m[np.arange(k), np.argmax(np.linalg.norm(m, axis=2), axis=1)]
-    return np.linalg.qr((w @ np.stack([row[:, 1], -row[:, 0]])) * r.T)[0]
+    larger = np.argmax(np.linalg.norm(m, axis=-1), axis=-1)
+    row = np.take_along_axis(m, larger[..., None, None], axis=-2)[..., 0, :]
+    null = np.stack([row[..., 1], -row[..., 0]], axis=-2)  # S' x 2 x k
+    return np.linalg.qr((w @ null) * r.swapaxes(-1, -2))[0], kept
 
 
 def _signal_fraction(signal_sub: np.ndarray, basis: np.ndarray, coeff: np.ndarray,
                      norms: np.ndarray) -> np.ndarray:
     """||S^H d||^2 / ||d||^2 for every scan vector d = B c, S the orthonormal
-    signal subspace: dictionary_power(S^H B, C) over norms = dictionary_power(B, C),
-    so no N x grid scan matrix is formed. As E E^H = I - S S^H for the noise
-    subspace E, one minus it is the MUSIC denominator ||E^H d||^2 / ||d||^2.
+    signal subspace (N x k, or a stack of them): dictionary_power(S^H B, C)
+    over norms = dictionary_power(B, C), so no N x grid scan matrix is formed.
+    As E E^H = I - S S^H for the noise subspace E, one minus it is the MUSIC
+    denominator ||E^H d||^2 / ||d||^2.
     """
-    return dictionary_power(signal_sub.conj().T @ basis, coeff) / norms
+    return dictionary_power(signal_sub.conj().swapaxes(-1, -2) @ basis, coeff) / norms
 
 
 def no_ris_localize(y_epoch: np.ndarray, cfg: LocalizerConfig, pr: ArraySpec):

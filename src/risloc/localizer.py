@@ -3,6 +3,7 @@ steering estimates, power spectrum, normalization and peak detection."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,23 +87,64 @@ def nlms_adapt(z: np.ndarray, basis: np.ndarray, cfg: LocalizerConfig) -> np.nda
     so X = Z Y (the compact WY form of the product of rank-one steps), and as
     z_l^H X = sum_{j<l} (z_l^H z_j) y_j before step l, the rows of Y follow by
     forward substitution: y_l = c_l (z_l^H B - G[l, :l] Y[:l]) with the Gram
-    matrix G = Z^H Z, l x M work per snapshot. Nothing divides by mu, so
-    mu = 0 gives X = 0 exactly.
+    matrix G = Z^H Z, i.e. (I + diag(c) tril(G, -1)) Y = diag(c) Z^H B.
+    Nothing divides by mu, so mu = 0 gives X = 0 exactly.
+
+    The substitution is blocked: with blocks J of b = isqrt(L) snapshots (the
+    last may be shorter), Y_J = U_J (Z_J^H B - G[J, :j0] Y[:j0]), where
+    U_J = T_JJ^-1 diag(c_J) for the diagonal block T_JJ of the triangular
+    matrix. The U_J of all blocks come from one b-step substitution batched
+    over the blocks (_block_inverses), so about 2 sqrt(L) sequential products
+    replace L.
 
     z may also be a stack (S x N x L) of snapshot sets, adapted independently
-    in one pass over l; slice s of the S x N x M result is bit for bit the
-    call on z[s].
+    in one pass; slice s of the S x N x M result is bit for bit the call on
+    z[s].
     """
     z = np.asarray(z, dtype=complex)
     zh = z.conj().swapaxes(-1, -2)  # row l is z_l^H
     gram = zh @ z
     y = zh @ basis  # row l is z_l^H B, overwritten by y_l
-    steps = (cfg.mu / _step_denominator(z, cfg, axis=-2))[..., None]
-    for ell in range(z.shape[-1]):
-        row = y[..., ell:ell + 1, :]
-        row -= gram[..., ell:ell + 1, :ell] @ y[..., :ell, :]
-        row *= steps[..., ell:ell + 1, :]
+    steps = cfg.mu / _step_denominator(z, cfg, axis=-2)
+    n_samples = z.shape[-1]
+    size = math.isqrt(n_samples) or 1
+    inv = _block_inverses(gram, steps, size)
+    for j0 in range(0, n_samples, size):
+        j1 = min(j0 + size, n_samples)
+        rows = y[..., j0:j1, :]
+        if j0:
+            rows -= gram[..., j0:j1, :j0] @ y[..., :j0, :]
+        rows[...] = inv[..., j0 // size, :j1 - j0, :j1 - j0] @ rows
     return z @ y
+
+
+def _block_inverses(gram: np.ndarray, steps: np.ndarray, size: int) -> np.ndarray:
+    """U_J = (I + diag(c_J) tril(G_JJ, -1))^-1 diag(c_J) for every diagonal
+    block J of size rows of the Gram matrix (... x L x L), with the step
+    factors c (... x L): an array ... x blocks x size x size, from one b-step
+    forward substitution for all blocks at once. A ragged last block of r
+    rows is padded to size; rows i < r of the substitution read only rows and
+    columns below r, so its leading r x r corner is its own U_J.
+    """
+    n_samples = gram.shape[-1]
+    count = -(-n_samples // size)
+    start = np.arange(count)[:, None, None] * size
+    offset = np.arange(size)
+    # one take from the flat Gram matrix gathers the blocks into a contiguous
+    # array, which keeps every block product in BLAS, so a stack slice is bit
+    # for bit the 2-D call; the padding reads clipped indices
+    at = (start + offset[:, None]) * n_samples + start + offset
+    blocks = np.take(gram.reshape(*gram.shape[:-2], -1), at, axis=-1, mode="clip")
+    coef = np.zeros((*steps.shape[:-1], count * size))
+    coef[..., :n_samples] = steps
+    coef = coef.reshape(*steps.shape[:-1], count, size)
+    inv = np.zeros(blocks.shape, dtype=complex)
+    inv[..., offset, offset] = coef
+    # row i of U_J is c_i (e_i - G_JJ[i, :i] U_J[:i]); U_J is lower triangular
+    for i in range(1, size):
+        inv[..., i:i + 1, :i] = (blocks[..., i:i + 1, :i] @ inv[..., :i, :i]) \
+            * -coef[..., i, None, None]
+    return inv
 
 
 def _scan_result(z, basis, coeff, cfg: LocalizerConfig):

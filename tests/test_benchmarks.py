@@ -285,6 +285,22 @@ def test_top_eigenvalues_match_eigvalsh(n, l, k, seed, g_norm, scales):
                 <= TOP_EIGENVALUE_C * np.finfo(float).eps * np.linalg.norm(gram, 2))
 
 
+@given(m=st.integers(4, 12), **_rank_one_cases)
+@settings(max_examples=60, deadline=None)
+def test_zero_noise_takes_the_noise_free_subspace(n, l, k, m, seed, g_norm, scales):
+    # all-zero noise leaves every acquisition z0, so every scale gets the
+    # picks of noise=None, with no bisection
+    k = min(k, n - 1)
+    z0, noise, _ = rank_one_draw(n, l, seed, g_norm)
+    ris, phases = ArraySpec(m), unit_phases(seed, n, m)
+    scales = [0.0] + scales
+    with mock.patch("risloc.benchmarks._top_eigenvalues",
+                    side_effect=AssertionError("bisection on zero noise")):
+        got = music_estimate(BeamformedData(z0), k, CFG, phases, ris, 20.0,
+                             noise=np.zeros_like(noise), scales=scales)
+    assert got == [music_estimate(BeamformedData(z0), k, CFG, phases, ris, 20.0)] * len(scales)
+
+
 # ------------------------------------------------------------------ no-RIS
 
 def test_no_ris_single_source_found(rng):

@@ -186,6 +186,17 @@ def _random_snapshots(seed, n, n_samples):
     return r.standard_normal((n, n_samples)) + 1j * r.standard_normal((n, n_samples))
 
 
+def _block_examples(**fixed):
+    """@example at n_samples 1 (one block), 36 (six exact 6 x 6 blocks), 37 (a
+    one-row last block) and 40 (a four-row last block) of nlms_adapt's
+    blocked substitution, with the other arguments fixed."""
+    def apply(test):
+        for n_samples in (1, 36, 37, 40):
+            test = example(n_samples=n_samples, **fixed)(test)
+        return test
+    return apply
+
+
 _kernel_cases = dict(
     n=st.integers(1, 12), n_samples=st.integers(1, 40),
     grid=st.lists(st.floats(-89.0, 89.0), min_size=1, max_size=15, unique=True),
@@ -194,6 +205,8 @@ _kernel_cases = dict(
 
 
 @given(m=st.integers(1, 8), aod=st.floats(-60.0, 60.0), **_kernel_cases)
+@_block_examples(n=12, m=8, grid=[-30.0, 0.0, 45.0], mu=0.5, textbook=False, seed=3,
+                 aod=20.0)
 @settings(max_examples=150, deadline=None)
 def test_spectrum_equals_per_angle_nlms_runs_property(n, m, n_samples, grid, mu,
                                                       textbook, seed, aod):
@@ -231,6 +244,7 @@ def test_no_ris_equals_per_angle_runs_property(n, n_samples, grid, mu, textbook,
 @given(n=st.integers(1, 12), m=st.integers(1, 8), n_samples=st.integers(1, 40),
        mu=st.floats(0.5, 1.0), textbook=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 @example(n=12, m=8, n_samples=40, mu=1.0, textbook=False, seed=2)  # the largest steps
+@_block_examples(n=12, m=8, mu=1.0, textbook=False, seed=3)
 @settings(max_examples=150, deadline=None)
 def test_kernel_matches_extended_precision_recursion(n, m, n_samples, mu, textbook, seed):
     # mu >= 0.5 with the plain norm makes step factors mu*||z_l|| up to ~6, where
@@ -255,6 +269,10 @@ def test_kernel_matches_extended_precision_recursion(n, m, n_samples, mu, textbo
 @given(stack=st.integers(1, 5), m=st.integers(1, 8), **_kernel_cases)
 @example(stack=3, m=4, n=5, n_samples=12, grid=[0.0], mu=0.0, textbook=False, seed=1)
 @example(stack=3, m=4, n=5, n_samples=12, grid=[0.0], mu=0.5, textbook=True, seed=1)
+@_block_examples(stack=3, m=4, n=5, grid=[0.0], mu=0.5, textbook=False, seed=1)
+# the shipped L = 100 (10 x 10 blocks): from blocks of about 8 rows, a block
+# product that leaves BLAS on a strided slice shows as a slice that differs
+@example(stack=3, m=4, n=5, n_samples=100, grid=[0.0], mu=0.5, textbook=False, seed=1)
 @settings(max_examples=100, deadline=None)
 def test_stacked_kernel_equals_per_slice_calls(stack, n, m, n_samples, grid, mu,
                                                textbook, seed):
