@@ -125,10 +125,11 @@ def _top_eigenvalues(lam: np.ndarray, w: np.ndarray, tt: float, scales: np.ndarr
     D = [[tt, s], [s, 0]], for every nonzero s in scales (S x k; lam ascending,
     W N x 2).
 
-    By bisection on the count of eigenvalues above x. With
-    R = (s^2 diag(lam) - x)^-1, the inertia of [[s^2 diag(lam) - x, W],
-    [W^H, -D^-1]] read through either Schur complement (Haynsworth), and the
-    one positive and one negative eigenvalue of D, give
+    By bisection on the count of eigenvalues above x, finished by Newton
+    steps (below). With R = (s^2 diag(lam) - x)^-1, the inertia of
+    [[s^2 diag(lam) - x, W], [W^H, -D^-1]] read through either Schur
+    complement (Haynsworth), and the one positive and one negative
+    eigenvalue of D, give
     #{eig > x} = #{s^2 lam_i > x} + #pos(-D^-1 - W^H R W) - 1. Through
     diag(1, s) the 2 x 2 matrix is congruent to [[-a, -1 - s b],
     [-1 - s conj(b), tt - s^2 c]], with a, b, c the sums over i of r_i times
@@ -137,10 +138,21 @@ def _top_eigenvalues(lam: np.ndarray, w: np.ndarray, tt: float, scales: np.ndarr
     sum_{i<j} r_i r_j |w_i0 w_j1 - w_j0 w_i1|^2 (Lagrange's identity), in
     which the r_i^2 terms that cancel in a c - |b|^2 are absent (next to a
     pole, that cancellation cost up to 3,553 eps ||G|| in the eigenvalues of
-    random draws). So each step is one (S k x N) @ (N x N + 2) product, and
-    the signs of the same r_i count the poles above x. Every eigenvalue lies
-    within rho = tt ||w_0||^2 + 2 |s| ||w_0|| ||w_1|| >= ||W D W^H|| of the
-    poles (Weyl), and each bracket is halved until its midpoint stops moving.
+    random draws). So each count is one (S k x N) @ (N x N + 2) product, and
+    the signs of the same r_i count the poles above x.
+
+    The rank-j row starts from the bracket of interlacing: W D W^H has one
+    positive and one negative eigenvalue, so mu_j lies between the poles
+    p_(j+1) and p_(j-1) (the j-th largest pole is p_(j)), and below
+    p_(1) + rho for j = 1, with rho = tt ||w_0||^2 + 2 |s| ||w_0|| ||w_1||
+    >= ||W D W^H|| (Weyl). Its ends, one ulp outward, are checked with the
+    count; a row that fails keeps the Weyl bracket [p_min - rho, p_max + rho].
+    Each step counts at x and moves lo or hi to x. Once no pole lies between
+    lo and hi, x is the Newton point of the determinant, whose derivative
+    follows from dr_i/dx = r_i^2 at the cost of one (S k x N) @ (N x 2)
+    product; a Newton step of a few ulps is replaced by 8 ulps into the
+    bracket, so that it closes from both sides, and a Newton point outside
+    the bracket by its midpoint. A row stops when its midpoint stops moving.
     """
     n = lam.size
     w0, w1 = w.T
@@ -151,21 +163,50 @@ def _top_eigenvalues(lam: np.ndarray, w: np.ndarray, tt: float, scales: np.ndarr
     rank = np.tile(np.arange(k, 0, -1), scales.size)  # the rank-th largest
     poles = (s * s)[:, None] * lam
     rho = tt * n0 * n0 + 2 * np.abs(s) * n0 * n1
-    lo, hi = poles[:, 0] - rho, poles[:, -1] + rho
-    mid = 0.5 * (lo + hi)
-    active = (lo < mid) & (mid < hi)
+    # the poles, ascending, then p_(1) + rho: the rank-j bracket's ends are
+    # its columns n - 1 - j and n + 1 - j
+    ends = np.column_stack([poles, poles[:, -1] + rho])
+    rows = np.arange(s.size)
+
+    def count(x):
+        """(#eig > x, #poles > x, det, det') per row."""
+        r = 1.0 / (poles - x[:, None])
+        prod = r @ kernel
+        a, b_re = prod[:, n], prod[:, n + 1]
+        pair = prod[:, :n] * r
+        det = s * s * np.sum(pair, axis=1) - tt * a - 2 * s * b_re - 1
+        positive = np.where(det < 0, 1, np.where(a < 0, 2, 0))
+        n_poles = np.count_nonzero(r > 0, axis=1)
+        r2 = r * r
+        da, db_re = (r2 @ kernel[:, n:]).T
+        ddet = 2 * s * s * np.sum(pair * r, axis=1) - tt * da - 2 * s * db_re
+        return n_poles + positive - 1, n_poles, det, ddet
+
     with np.errstate(all="ignore"):  # x on or within a few ulps of a pole
+        lo = np.nextafter(ends[rows, n - 1 - rank], -np.inf)
+        hi = np.nextafter(ends[rows, n + 1 - rank], np.inf)
+        eig_lo, poles_lo, det_lo, _ = count(lo)
+        eig_hi, poles_hi, det_hi, _ = count(hi)
+        fine = np.isfinite(det_lo) & np.isfinite(det_hi) & (eig_lo >= rank) & (eig_hi < rank)
+        lo = np.where(fine, lo, poles[:, 0] - rho)
+        hi = np.where(fine, hi, ends[:, -1])
+        poles_lo = np.where(fine, poles_lo, n)
+        poles_hi = np.where(fine, poles_hi, 0)
+        mid = x = 0.5 * (lo + hi)
+        active = (lo < mid) & (mid < hi)
         while active.any():
-            r = 1.0 / (poles - mid[:, None])
-            prod = r @ kernel
-            a, b_re = prod[:, n], prod[:, n + 1]
-            det = s * s * np.sum(prod[:, :n] * r, axis=1) - tt * a - 2 * s * b_re - 1
-            positive = np.where(det < 0, 1, np.where(a < 0, 2, 0))
-            above = np.count_nonzero(r > 0, axis=1) + positive - 1 >= rank
-            lo = np.where(active & above, mid, lo)
-            hi = np.where(active & ~above, mid, hi)
+            eig, n_poles, det, ddet = count(x)
+            above = eig >= rank
+            up, down = active & above, active & ~above
+            lo, poles_lo = np.where(up, x, lo), np.where(up, n_poles, poles_lo)
+            hi, poles_hi = np.where(down, x, hi), np.where(down, n_poles, poles_hi)
             mid = 0.5 * (lo + hi)
             active = (lo < mid) & (mid < hi)
+            step = det / ddet
+            ulp = np.spacing(np.abs(x))
+            newton = np.where(np.abs(step) <= 4 * ulp, x + np.where(above, 8, -8) * ulp,
+                              x - step)
+            x = np.where((poles_lo == poles_hi) & (lo < newton) & (newton < hi), newton, mid)
     return mid.reshape(scales.size, k)
 
 
@@ -227,6 +268,8 @@ def select_estimates(result: SpectrumResult, k: int) -> List[float]:
     tie, as argmin(|grid - t|) picks), found for all peaks with one search of
     the grid midpoints; equal heights keep the order of result.peaks.
     """
+    if len(result.peaks) <= k:
+        return sorted(result.peaks)
     grid = np.asarray(result.grid, dtype=float)
     nearest = np.searchsorted((grid[:-1] + grid[1:]) / 2, result.peaks)
     ranked = np.argsort(-result.normalized[nearest], kind="stable")
@@ -249,6 +292,8 @@ def trial_error(true_aoas: Sequence[float], estimates: Sequence[float]):
     flagged = est.size < k
     if not k:
         return 0.0, flagged
+    if not flagged:  # the one pairing
+        return float(np.mean(np.abs(truths - est) ** 2)), flagged
     best = np.inf
     for covered in itertools.combinations(range(k), est.size):
         errs = np.full(k, MISS_ERROR_DEG)

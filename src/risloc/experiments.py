@@ -8,7 +8,7 @@ import dataclasses
 import itertools
 import json
 import os
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -89,7 +89,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.n_epoch < 1 or self.n_samples < 1:
             raise ValueError("n_epoch and n_samples must be >= 1")
-        for name in ("seed", "refine_rounds"):
+        # a negative MSE target could never be met
+        for name in ("seed", "refine_rounds", "mse_target_deg2"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if -np.inf in (self.snr_db, *self.snr_sweep_db):  # +inf is noise-free
@@ -404,15 +405,16 @@ def run_mse_sweep(cfg: ExperimentConfig, seed: Optional[int] = None,
     _write_csv(os.path.join(out, "trials.csv"), TRIALS_CSV_HEADER,
                "{},{},{:.10g},{},{:.10g},{},{:d}", rows)
 
-    cells = defaultdict(list)  # (m, method, snr_db) -> [(mse, flagged)] in trial order
-    for _, method, snr_db, m, mse, _, flagged in rows:
-        cells[m, method, snr_db].append((mse, flagged))
-    aggregate = []
-    for m, method, snr_db in itertools.product(m_list, cfg.methods, cfg.snr_sweep_db):
-        mse, flagged = zip(*cells[m, method, float(snr_db)])
-        aggregate.append({"snr_db": float(snr_db), "method": method, "m_elements": m,
-                          "mse_deg2": float(np.mean(mse)),
-                          "flagged_fraction": float(np.mean(flagged))})
+    # rows run (M, trial, SNR, method); each cell's mean is taken over a
+    # contiguous run of its trials, as np.mean of that cell alone would be
+    cells = np.array([(row[4], row[6]) for row in rows], dtype=float).reshape(
+        len(m_list), cfg.trials, len(cfg.snr_sweep_db), len(cfg.methods), 2)
+    mse, flagged = np.mean(np.ascontiguousarray(cells.transpose(4, 0, 3, 2, 1)), axis=-1)
+    aggregate = [{"snr_db": float(snr_db), "method": method, "m_elements": m,
+                  "mse_deg2": cell_mse, "flagged_fraction": cell_flagged}
+                 for (m, method, snr_db), cell_mse, cell_flagged in zip(
+                     itertools.product(m_list, cfg.methods, cfg.snr_sweep_db),
+                     mse.ravel().tolist(), flagged.ravel().tolist())]
     _write_csv(os.path.join(out, "mse_sweep.csv"),
                "snr_db,method,m_elements,mse_deg2,flagged_fraction",
                "{:.10g},{},{},{:.10g},{:.10g}", (row.values() for row in aggregate))

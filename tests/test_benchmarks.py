@@ -267,8 +267,10 @@ def test_rank_two_update_matches_eigh(n, l, k, m, seed, g_norm, scales):
 
 @given(**_rank_one_cases)
 @settings(max_examples=150, deadline=None)
+# a bracket [p_(j) - rho, p_(j) + rho] would start this draw with x on a pole
+@example(n=3, l=1, k=1, seed=0, g_norm=1.0, scales=[1.0])
 def test_top_eigenvalues_match_eigvalsh(n, l, k, seed, g_norm, scales):
-    # the bisection's k largest eigenvalues of s^2 C + U D U^H, against
+    # _top_eigenvalues' k largest eigenvalues of s^2 C + U D U^H, against
     # eigvalsh of the Gram matrix, where no eigenvalue sits on a pole: with
     # K <= L, lambda_K > 0 is not one of the N - L zero eigenvalues of C
     l = min(l, 2 * n)
@@ -283,6 +285,56 @@ def test_top_eigenvalues_match_eigvalsh(n, l, k, seed, g_norm, scales):
         gram = (z0 + s * noise) @ (z0 + s * noise).conj().T
         assert (np.max(np.abs(got - np.linalg.eigvalsh(gram)[n - k:]))
                 <= TOP_EIGENVALUE_C * np.finfo(float).eps * np.linalg.norm(gram, 2))
+
+
+def top_eigenvalues_by_bisection(lam, w, tt, scales, k):
+    """_top_eigenvalues by plain bisection from the Weyl bracket
+    [p_min - rho, p_max + rho] of every row, halved until its midpoint stops
+    moving: the reference for the interlacing brackets and Newton finish."""
+    n = lam.size
+    w0, w1 = w.T
+    cross = np.abs(np.outer(w0, w1) - np.outer(w1, w0)) ** 2  # zero diagonal
+    kernel = np.column_stack([0.5 * cross, np.abs(w0) ** 2, (w0.conj() * w1).real])
+    n0, n1 = np.linalg.norm(w, axis=0)
+    s = np.repeat(scales, k)  # one row per (scale, rank)
+    rank = np.tile(np.arange(k, 0, -1), scales.size)  # the rank-th largest
+    poles = (s * s)[:, None] * lam
+    rho = tt * n0 * n0 + 2 * np.abs(s) * n0 * n1
+    lo, hi = poles[:, 0] - rho, poles[:, -1] + rho
+    mid = 0.5 * (lo + hi)
+    active = (lo < mid) & (mid < hi)
+    with np.errstate(all="ignore"):  # x on or within a few ulps of a pole
+        while active.any():
+            r = 1.0 / (poles - mid[:, None])
+            prod = r @ kernel
+            a, b_re = prod[:, n], prod[:, n + 1]
+            det = s * s * np.sum(prod[:, :n] * r, axis=1) - tt * a - 2 * s * b_re - 1
+            positive = np.where(det < 0, 1, np.where(a < 0, 2, 0))
+            above = np.count_nonzero(r > 0, axis=1) + positive - 1 >= rank
+            lo = np.where(active & above, mid, lo)
+            hi = np.where(active & ~above, mid, hi)
+            mid = 0.5 * (lo + hi)
+            active = (lo < mid) & (mid < hi)
+    return mid.reshape(scales.size, k)
+
+
+@given(**_rank_one_cases)
+@settings(max_examples=150, deadline=None)
+def test_top_eigenvalues_match_bisection_reference(n, l, k, seed, g_norm, scales):
+    # the interlacing brackets and the Newton finish against plain bisection
+    # from the Weyl bracket: each is within TOP_EIGENVALUE_C eps ||G|| of the
+    # exact eigenvalue, so they are within twice that of each other
+    l = min(l, 2 * n)
+    k = min(k, n - 1, l)
+    z0, noise, _ = rank_one_draw(n, l, seed, g_norm)
+    g, t = _rank_one_factor(z0)
+    lam, q = np.linalg.eigh(noise @ noise.conj().T)
+    w = q.conj().T @ np.stack([g, noise @ t.conj()], axis=1)
+    args = lam, w, np.vdot(t, t).real, np.asarray(scales), k
+    for s, got, ref in zip(scales, _top_eigenvalues(*args), top_eigenvalues_by_bisection(*args)):
+        gram = (z0 + s * noise) @ (z0 + s * noise).conj().T
+        assert (np.max(np.abs(got - ref))
+                <= 2 * TOP_EIGENVALUE_C * np.finfo(float).eps * np.linalg.norm(gram, 2))
 
 
 @given(m=st.integers(4, 12), **_rank_one_cases)
@@ -362,7 +414,10 @@ def test_select_estimates_prefers_strong_peaks():
     res = make_result([-10.0, 5.0, 40.0], {-10.0: 0.9, 5.0: 1.0, 40.0: 0.6})
     assert select_estimates(res, 2) == [-10.0, 5.0]
     assert select_estimates(res, 1) == [5.0]
-    assert select_estimates(res, 5) == [-10.0, 5.0, 40.0]
+    # at most k peaks: all of them, ascending, in whatever order they came
+    res.peaks.reverse()
+    assert select_estimates(res, 3) == select_estimates(res, 5) == [-10.0, 5.0, 40.0]
+    assert select_estimates(res, 2) == [-10.0, 5.0]
 
 
 @given(grid=st.lists(st.integers(-170, 170), min_size=1, max_size=20, unique=True),
@@ -383,6 +438,37 @@ def test_select_estimates_equals_a_search_per_peak(grid, heights, picks, offset,
                          normalized=np.asarray(heights[: grid.size]), peaks=peaks)
     ranked = sorted(peaks, key=lambda t: -res.normalized[int(np.argmin(np.abs(grid - t)))])
     assert select_estimates(res, k) == sorted(ranked[:k])
+
+
+def trial_error_by_combinations(true_aoas, estimates):
+    """trial_error's search over every choice of covered truths, for full
+    and short estimate lists alike."""
+    truths = np.sort(np.asarray(true_aoas, dtype=float))
+    est = np.sort(np.asarray(estimates, dtype=float))
+    k = truths.size
+    best = np.inf
+    for covered in itertools.combinations(range(k), est.size):
+        errs = np.full(k, MISS_ERROR_DEG)
+        errs[list(covered)] = np.abs(truths[list(covered)] - est)
+        best = min(best, float(np.mean(errs ** 2)))
+    return best, est.size < k
+
+
+_angles = st.one_of(st.sampled_from([0.0, -0.0, 5.0, -5.0, 25.0]), st.floats(-89.0, 89.0))
+
+
+@given(truths=st.lists(_angles, min_size=1, max_size=9), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_trial_error_equals_the_combination_search(truths, data):
+    # K up to 9, so that numpy's sum of 8 or more squares runs in partial
+    # sums; full lists take the one pairing directly, short ones the search.
+    # Ties and signed zeros come from the sampled angles
+    size = data.draw(st.one_of(st.just(len(truths)), st.integers(0, len(truths))))
+    est = data.draw(st.lists(_angles, min_size=size, max_size=size))
+    mse, flagged = trial_error(truths, est)
+    ref, ref_flagged = trial_error_by_combinations(truths, est)
+    assert flagged == ref_flagged == (size < len(truths))
+    assert mse.hex() == ref.hex()
 
 
 def test_trial_error_exact_pairing():

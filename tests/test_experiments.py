@@ -1,3 +1,4 @@
+import collections
 import collections.abc
 import dataclasses
 import json
@@ -6,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import typing
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -202,6 +204,7 @@ def test_unknown_config_keys_fail_at_load(tmp_path):
             ({"scene": dict(scene, rician_targets_pr=[])}, "rician_targets_pr length must equal K"),
             ({"seed": -1}, "seed must be >= 0"),
             ({"refine_rounds": -1}, "refine_rounds must be >= 0"),
+            ({"mse_target_deg2": -5.0}, "mse_target_deg2 must be >= 0, got -5.0"),
             # a repeated entry would write its sweep cells twice, or two
             # placements one CSV (10 and 10.0000001 both name beampattern_ap+10.csv)
             ({"m_sweep": [16, 16]}, "m_sweep must be distinct, repeated: 16"),
@@ -418,6 +421,40 @@ def test_sweep_outputs_and_reproducibility(tmp_path):
     agg_head = (tmp_path / "a" / "mse_sweep.csv").read_text().split("\n")[0]
     assert agg_head == "snr_db,method,m_elements,mse_deg2,flagged_fraction"
     assert len(rows1) == 6
+
+
+@pytest.mark.parametrize("trials", [1, 9, 130])
+def test_sweep_aggregate_equals_a_mean_per_cell(tmp_path, trials):
+    # numpy sums 8 or more values, and again 128 or more, in partial sums;
+    # the aggregate's one mean over every cell must give each cell's own
+    # np.mean bit for bit. MSE values over six decades make the order count
+    cfg = config_from_dict(tiny_config_dict(trials=trials, m_sweep=[8, 16],
+                                            snr_sweep_db=[-5.0, 10.0, 20.0]))
+    r = np.random.default_rng(trials)
+    rows = []
+
+    def fake_trial(cfg, m_index, m_elements, trial):
+        out = [(trial, method, float(snr_db), m_elements, float(10.0 ** r.uniform(-3, 3)),
+                2, bool(r.random() < 0.3))
+               for snr_db in cfg.snr_sweep_db for method in cfg.methods]
+        rows.extend(out)
+        return out
+
+    with mock.patch("risloc.experiments._sweep_trial", side_effect=fake_trial):
+        got = run_mse_sweep(cfg, out_dir=str(tmp_path))
+    cells = collections.defaultdict(list)
+    for _, method, snr_db, m, mse, _, flagged in rows:
+        cells[m, method, snr_db].append((mse, flagged))
+    want = []
+    for m in (8, 16):
+        for method in cfg.methods:
+            for snr_db in cfg.snr_sweep_db:
+                mse, flagged = zip(*cells[m, method, snr_db])
+                assert len(mse) == trials
+                want.append({"snr_db": snr_db, "method": method, "m_elements": m,
+                             "mse_deg2": float(np.mean(mse)),
+                             "flagged_fraction": float(np.mean(flagged))})
+    assert got == want
 
 
 def _sweep_trial_per_snr_point(cfg, m_index, m_elements, trial):
