@@ -18,7 +18,8 @@ MISS_ERROR_DEG = 90.0  # worst-case padding for missing detections
 
 def music_estimate(data: BeamformedData, k_true: int, cfg: LocalizerConfig,
                    phases: PhaseShiftMatrix, ris: ArraySpec, aod_ris_pr: float,
-                   noise: Optional[np.ndarray] = None, scales: Sequence[float] = ()):
+                   noise: Optional[np.ndarray] = None, scales: Sequence[float] = (),
+                   factors: Optional[tuple] = None):
     """Subspace estimates of the k_true RIS-side angles on cfg.grid.
 
     Signal subspace S from the k_true largest eigenvalues of the Gram matrix
@@ -34,7 +35,9 @@ def music_estimate(data: BeamformedData, k_true: int, cfg: LocalizerConfig,
     With noise (N_epoch x L), the acquisitions are data.z + s * noise, one per
     entry s of scales, and a list of estimates per scale is returned (see
     _signal_subspaces). Without noise, data alone is the single case s = 0
-    and one list of estimates is returned.
+    and one list of estimates is returned. factors (g, t), with
+    data.z = g t^T as beamformed_epochs returns them, let the noisy scales
+    take the rank-two update; without them every scale takes eigh.
     """
     if not 1 <= k_true < data.n_epoch:
         raise ValueError(f"k_true must satisfy 1 <= k_true < n_epoch, got {k_true}")
@@ -46,10 +49,13 @@ def music_estimate(data: BeamformedData, k_true: int, cfg: LocalizerConfig,
     if noise is not None and np.shape(noise) != z.shape:
         raise ValueError(f"noise must have the shape {z.shape} of data.z, "
                          f"got {np.shape(noise)}")
+    if factors is not None and tuple(map(np.shape, factors)) != ((z.shape[0],), (z.shape[1],)):
+        raise ValueError(f"factors must be (g, t) of shapes ({z.shape[0]},) and "
+                         f"({z.shape[1]},), got {tuple(map(np.shape, factors))}")
     coeff = steering_dictionary(ris, cfg.grid, aod_ris_pr, cfg.include_b)
     norms = dictionary_power(phases.matrix, coeff)  # ||d||^2 for every scan vector d
     estimates = []
-    for q in _signal_fraction(_signal_subspaces(z, k_true, noise, scales),
+    for q in _signal_fraction(_signal_subspaces(z, k_true, noise, scales, factors),
                               phases.matrix, coeff, norms):
         order = sorted(_peak_indices(q), key=lambda i: -q[i])
         picked = order[:k_true]
@@ -61,7 +67,8 @@ def music_estimate(data: BeamformedData, k_true: int, cfg: LocalizerConfig,
 
 
 def _signal_subspaces(z: np.ndarray, k: int, noise: Optional[np.ndarray] = None,
-                      scales: Sequence[float] = ()) -> np.ndarray:
+                      scales: Sequence[float] = (), factors: Optional[tuple] = None
+                      ) -> np.ndarray:
     """Orthonormal N x k bases of the k leading eigenvectors of the Gram matrix
     of z, or of z + s * noise for each s in scales, stacked S x N x k (S = 1
     without noise).
@@ -69,8 +76,8 @@ def _signal_subspaces(z: np.ndarray, k: int, noise: Optional[np.ndarray] = None,
     Those Gram matrices are A + s (B + B^H + s C), with A = z z^H, B = z noise^H
     and C = noise noise^H, and each is given to eigh. Noise with no nonzero
     entry leaves every acquisition z, so each scale gets the one eigh of A.
-    When z = g t^T is rank one (every path carries one waveform), the matrix
-    is also s^2 C + U D U^H, with U = [g, noise conj(t)] and
+    Given factors (g, t) of z = g t^T (every path carries one waveform), the
+    matrix is also s^2 C + U D U^H, with U = [g, noise conj(t)] and
     D = [[||t||^2, s], [s, 0]]. Then one eigh C = Q diag(lam) Q^H serves every
     s: with W = Q^H U, the k largest eigenvalues mu of s^2 diag(lam) + W D W^H
     (from _top_eigenvalues, for all nonzero s at once) have the eigenvectors
@@ -88,9 +95,8 @@ def _signal_subspaces(z: np.ndarray, k: int, noise: Optional[np.ndarray] = None,
     subs = np.empty((scales.size, n, k), dtype=complex)
     c = noise @ noise.conj().T
     done = np.zeros(scales.size, dtype=bool)
-    factor = _rank_one_factor(z)
-    if factor is not None:
-        g, t = factor
+    if factors is not None:
+        g, t = factors
         lam, q = np.linalg.eigh(c)
         w = q.conj().T @ np.stack([g, noise @ t.conj()], axis=1)
         tt = np.vdot(t, t).real
@@ -106,17 +112,6 @@ def _signal_subspaces(z: np.ndarray, k: int, noise: Optional[np.ndarray] = None,
         for i in np.flatnonzero(~done):
             subs[i] = np.linalg.eigh(a + scales[i] * (b + scales[i] * c))[1][:, n - k:]
     return subs
-
-
-def _rank_one_factor(z: np.ndarray):
-    """(g, t) with z = g t^T to rounding, g the largest-norm column of z and
-    t = z^T conj(g) / ||g||^2; None if z is not rank one."""
-    g = z[:, np.argmax(np.linalg.norm(z, axis=0))]
-    g2 = np.vdot(g, g).real
-    if g2 == 0.0:
-        return None
-    t = z.T @ g.conj() / g2
-    return (g, t) if np.linalg.norm(z - np.outer(g, t)) <= 1e-12 * np.linalg.norm(z) else None
 
 
 def _top_eigenvalues(lam: np.ndarray, w: np.ndarray, tt: float, scales: np.ndarray,

@@ -22,7 +22,7 @@ from .ris_optimizer import (RIS_INITS, PhaseShiftMatrix, beampattern, level_db,
                             solve_phase_shifts, suppression_target)
 from .signal_model import (ArraySpec, Decibels, SceneConfig, Waveform, check_angles,
                            check_fields, check_value, complex_normal, generate_waveform,
-                           ris_incident, steering_matrix, steering_vector)
+                           steering_matrix, steering_vector)
 
 TRIALS_CSV_HEADER = "trial,method,snr_db,m_elements,mse_deg2,detected_count,flagged"
 PLACEMENT_CSV = "beampattern_ap{:+g}.csv"  # one beampattern CSV per AP placement
@@ -203,14 +203,15 @@ def build_phases(cfg: ExperimentConfig, scene: SceneConfig, ris: ArraySpec,
 
 
 def _acquisition(cfg: ExperimentConfig, ris: ArraySpec, rng: np.random.Generator):
-    """Scene, phases, waveform, matched weight w, and Z0 and mean |x_n(t)|^2 of
-    beamformed_epochs: one noise-free acquisition, drawn from rng in that order."""
+    """Scene, phases, waveform, matched weight w, and Z0, its factors (g, s) and
+    mean |x_n(t)|^2 of beamformed_epochs: one noise-free acquisition, drawn
+    from rng in that order."""
     scene = cfg.make_scene(rng)
     phases = build_phases(cfg, scene, ris, rng)
     waveform = generate_waveform(cfg.n_samples, rng)
     w = matched_weight(cfg.pr, scene.aoa_ris_pr)
-    z0, x_power = beamformed_epochs(scene, waveform, phases, ris, cfg.pr, w, rng)
-    return scene, phases, waveform, w, z0, x_power
+    return (scene, phases, waveform, w,
+            *beamformed_epochs(scene, waveform, phases, ris, cfg.pr, w, rng))
 
 
 def _direct_fading(scene: SceneConfig, pr: ArraySpec, n_epoch: int,
@@ -238,22 +239,29 @@ def _direct_fading(scene: SceneConfig, pr: ArraySpec, n_epoch: int,
 def beamformed_epochs(scene: SceneConfig, waveform: Waveform, phases: PhaseShiftMatrix,
                       ris: ArraySpec, pr: ArraySpec, w: np.ndarray,
                       rng: np.random.Generator):
-    """Noise-free beamformed epochs Z0 (N_epoch x L) and mean |x_n(t)|^2.
+    """Noise-free beamformed epochs Z0 = g s^T (N_epoch x L), their factors
+    (g, s) and mean |x_n(t)|^2.
 
-    Row n is w^H Y_n of a noise-free pr_received epoch, with the direct-path
-    fading of all epochs from one _direct_fading draw, so on the same rng
-    state Z0 equals beamform(simulate_epochs(..., NoiseModel(0.0), rng), w).z.
+    Every path carries the one waveform s, so Z0 is rank one. The field at
+    the RIS is h s^T with h = sum_k alpha_k a(theta_k) + alpha_0 a(aoa_ap_ris),
+    summed in ris_incident's order, so epoch n reflects x_n = (v_n * b)^T h s^T
+    and mean |x_n(t)|^2 = mean |(V * b) h|^2 mean |s|^2. The beamformed gain
+    is g = g_ris + g_dir: g_ris = gain_ris_pr (w^H a_PR) (V * b) h, and g_dir
+    that of the direct paths, with the fading of all epochs from one
+    _direct_fading draw. So on the same rng state Z0 equals
+    beamform(simulate_epochs(..., NoiseModel(0.0), rng), w).z to rounding.
     White noise of variance sigma^2 at the PR adds sigma * ||w|| * CN(0, 1) to
     each entry.
     """
-    incident = ris_incident(scene, waveform, ris)
-    b = steering_vector(ris, scene.aod_ris_pr)
-    x = (phases.matrix * b) @ incident  # N_epoch x L
-    gains, h = _direct_fading(scene, pr, phases.n_epoch, rng)
-    gain_dir = (h @ w.conj()) @ gains
+    rays = steering_matrix(ris, [*scene.target_aoas_ris, scene.aoa_ap_ris]).T
+    h = sum((a * ray for a, ray in zip([*scene.gain_targets, scene.gain_ap_ris], rays)),
+            np.zeros(ris.elements, dtype=complex))
+    x = (phases.matrix * steering_vector(ris, scene.aod_ris_pr)) @ h  # N_epoch
+    direct, fading = _direct_fading(scene, pr, phases.n_epoch, rng)
     wa = np.vdot(w, steering_vector(pr, scene.aoa_ris_pr))
-    z0 = scene.gain_ris_pr * wa * x + np.outer(gain_dir, waveform.samples)
-    return z0, float(np.mean(np.abs(x) ** 2))
+    g = scene.gain_ris_pr * wa * x + (fading @ w.conj()) @ direct
+    s = waveform.samples
+    return np.outer(g, s), (g, s), float(np.mean(np.abs(x) ** 2)) * waveform.power
 
 
 def _no_ris_epoch(scene: SceneConfig, waveform: Waveform, pr: ArraySpec,
@@ -269,8 +277,16 @@ def _no_ris_epoch(scene: SceneConfig, waveform: Waveform, pr: ArraySpec,
 
 
 def noise_variance_for_snr(scene: SceneConfig, x_power: float, snr_db: float) -> float:
-    """SNR := |gain_ris_pr|^2 * mean|x|^2 / sigma^2, solved for sigma^2."""
+    """SNR := |gain_ris_pr|^2 * mean|x|^2 / sigma^2, solved for sigma^2.
+
+    With no RIS-path power every finite SNR would give sigma^2 = 0, a
+    noise-free run under a noisy label, so it fails; +inf dB is noise-free
+    anyway and stays allowed."""
     sig = abs(scene.gain_ris_pr) ** 2 * x_power
+    if sig == 0 and snr_db != np.inf:
+        raise ValueError(f"SNR {snr_db:g} dB is undefined: the RIS-path power "
+                         "|gain_ris_pr|^2 * mean|x|^2 is 0 (gain_ris_pr is 0, or "
+                         "gain_targets and gain_ap_ris are all 0)")
     return sig / (10.0 ** (snr_db / 10.0))
 
 
@@ -286,22 +302,19 @@ def _seed_and_out_dir(cfg: ExperimentConfig, seed: Optional[int], out_dir: Optio
 
 
 def _write_csv(path, header: str, row_format: str, rows) -> None:
-    """A CSV table: the header line, then row_format.format(*row) per row.
+    """A CSV table: the header line, then row_format % row per row.
 
-    The rows are formatted by one format call on the row template repeated
-    once per row; its fields number automatically across the repeats, so
-    each row's text is the one a per-row call gives."""
+    The rows are formatted by one % on the row template repeated once per
+    row, which gives each row the text of its own % call."""
     rows = list(rows)
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        fh.write(((row_format + "\n") * len(rows)).format(
-            *itertools.chain.from_iterable(rows)))
+        fh.write(((row_format + "\n") * len(rows)) % tuple(itertools.chain.from_iterable(rows)))
 
 
 def _write_json(path, payload) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------- spectrum
@@ -314,7 +327,7 @@ def run_spectrum(cfg: ExperimentConfig, seed: Optional[int] = None,
     """
     master, out = _seed_and_out_dir(cfg, seed, out_dir)
     rng = trial_rng(master)
-    scene, phases, _, w, z0, x_power = _acquisition(cfg, cfg.ris, rng)
+    scene, phases, _, w, z0, _, x_power = _acquisition(cfg, cfg.ris, rng)
     variance = noise_variance_for_snr(scene, x_power, cfg.snr_db)
     data = BeamformedData(z0 + np.sqrt(variance) * np.linalg.norm(w)
                           * complex_normal(z0.shape, rng))
@@ -322,7 +335,7 @@ def run_spectrum(cfg: ExperimentConfig, seed: Optional[int] = None,
 
     columns = (result.grid, result.power, result.normalized, np.isin(result.grid, result.peaks))
     _write_csv(os.path.join(out, "spectrum.csv"), "theta_deg,power,normalized,is_peak",
-               "{:.6g},{:.12g},{:.12g},{:d}", zip(*(c.tolist() for c in columns)))
+               "%.6g,%.12g,%.12g,%d", zip(*(c.tolist() for c in columns)))
     _write_json(os.path.join(out, "spectrum_summary.json"), {
         "seed": master,
         "snr_db": cfg.snr_db,
@@ -342,7 +355,7 @@ def _sweep_trial(cfg: ExperimentConfig, m_index: int, m_elements: int,
     (TRIALS_CSV_HEADER order)."""
     rng = trial_rng(cfg.seed, m_index, trial)
     ris = ArraySpec(m_elements, cfg.ris.spacing)
-    scene, phases, waveform, w, z0, x_power = _acquisition(cfg, ris, rng)
+    scene, phases, waveform, w, z0, factors, x_power = _acquisition(cfg, ris, rng)
     y0_nr = _no_ris_epoch(scene, waveform, cfg.pr, rng)
     # unit noise drawn once, so every SNR point rescales the same draws
     ez = complex_normal(z0.shape, rng)
@@ -357,13 +370,15 @@ def _sweep_trial(cfg: ExperimentConfig, m_index: int, m_elements: int,
     per_method = {}
     if "nlms_ris" in cfg.methods:
         per_method["nlms_ris"] = [
-            _nlms_pick(spectrum(BeamformedData(z0 + s * ez), cfg.localizer, phases, ris,
-                                scene.aod_ris_pr), k) for s in scales]
+            _nlms_pick(spectrum(BeamformedData(z0 + c * ez), cfg.localizer, phases, ris,
+                                scene.aod_ris_pr, products=products), k)
+            for c, products in zip(scales, _scan_products(*factors, ez, phases.matrix,
+                                                          scales))]
     if "music_ris" in cfg.methods:
         per_method["music_ris"] = [
             (est, len(est)) for est in music_estimate(
                 BeamformedData(z0), k, cfg.localizer, phases, ris, scene.aod_ris_pr,
-                noise=ez, scales=scales)]
+                noise=ez, scales=scales, factors=factors)]
     if "nlms_no_ris" in cfg.methods:
         per_method["nlms_no_ris"] = [
             _nlms_pick(res, k) for res in no_ris_localize(
@@ -377,6 +392,32 @@ def _sweep_trial(cfg: ExperimentConfig, m_index: int, m_elements: int,
             mse, flagged = trial_error(truths, est)
             rows.append((trial, method, float(snr_db), m_elements, mse, detected, flagged))
     return rows
+
+
+def _scan_products(g: np.ndarray, s: np.ndarray, noise: np.ndarray, basis: np.ndarray,
+                   scales):
+    """(Z^H Z, Z^H B) of the snapshots Z = g s^T + c E (noise E, N x L; basis
+    B, N x M) for each scale c in scales, from pieces taken once:
+    Z^H Z = ||g||^2 conj(s) s^T + c (conj(s) u^T + conj(u) s^T) + c^2 E^H E with
+    u = E^T conj(g), and Z^H B = conj(s) (g^H B) + c E^H B. So the L x L x N
+    and L x M x N products are taken once, not once per scale; each scale
+    costs a few passes over one fresh L x L and one L x M array."""
+    eh = noise.conj().T
+    noise_gram, noise_proj = eh @ noise, eh @ basis
+    sc = s.conj()[:, None]
+    # outer products as matrix products with a contiguous operand, which
+    # is several times faster than np.outer on complex vectors
+    cross = np.column_stack([sc[:, 0], eh @ g]) @ np.stack([noise.T @ g.conj(), s])
+    signal_gram = (np.vdot(g, g).real * sc) @ s[None, :]
+    signal_proj = sc @ (g.conj() @ basis)[None, :]
+    for c in scales:
+        gram = c * noise_gram
+        gram += cross
+        gram *= c
+        gram += signal_gram
+        proj = c * noise_proj
+        proj += signal_proj
+        yield gram, proj
 
 
 def _nlms_pick(res: SpectrumResult, k: int):
@@ -403,7 +444,7 @@ def run_mse_sweep(cfg: ExperimentConfig, seed: Optional[int] = None,
     rows = [row for mi, m in enumerate(m_list) for t in range(cfg.trials)
             for row in _sweep_trial(cfg, mi, m, t)]
     _write_csv(os.path.join(out, "trials.csv"), TRIALS_CSV_HEADER,
-               "{},{},{:.10g},{},{:.10g},{},{:d}", rows)
+               "%s,%s,%.10g,%s,%.10g,%s,%d", rows)
 
     # rows run (M, trial, SNR, method); each cell's mean is taken over a
     # contiguous run of its trials, as np.mean of that cell alone would be
@@ -417,7 +458,7 @@ def run_mse_sweep(cfg: ExperimentConfig, seed: Optional[int] = None,
                      mse.ravel().tolist(), flagged.ravel().tolist())]
     _write_csv(os.path.join(out, "mse_sweep.csv"),
                "snr_db,method,m_elements,mse_deg2,flagged_fraction",
-               "{:.10g},{},{},{:.10g},{:.10g}", (row.values() for row in aggregate))
+               "%.10g,%s,%s,%.10g,%.10g", (row.values() for row in aggregate))
     _write_json(os.path.join(out, "mse_sweep_summary.json"), {
         "seed": cfg.seed, "trials": cfg.trials, "m_sweep": m_list,
         "methods": list(cfg.methods),
@@ -451,7 +492,7 @@ def run_beampattern(cfg: ExperimentConfig, seed: Optional[int] = None,
         notch_db = level_db(notch, peak)
         off = pat_db[np.abs(grid - placement) > 3.0]
         name = PLACEMENT_CSV.format(placement)
-        _write_csv(os.path.join(out, name), "theta_deg,b_normalized_db", "{:.6g},{:.10g}",
+        _write_csv(os.path.join(out, name), "theta_deg,b_normalized_db", "%.6g,%.10g",
                    zip(grid.tolist(), pat_db.tolist()))
         summary.append({"aoa_ap_ris": float(placement), "notch_db": float(notch_db),
                         "off_notch_median_db": float(np.median(off)), "csv": name})

@@ -77,7 +77,8 @@ def _step_denominator(z: np.ndarray, cfg: LocalizerConfig, axis=None):
     return nrm + cfg.epsilon
 
 
-def nlms_adapt(z: np.ndarray, basis: np.ndarray, cfg: LocalizerConfig) -> np.ndarray:
+def nlms_adapt(z: np.ndarray, basis: np.ndarray, cfg: LocalizerConfig,
+               products=None) -> np.ndarray:
     """X with a_hat_L(d) = X c for every scan vector d = B c (basis B, N x M).
 
     From a_hat = 0 the recursion of nlms_run is linear in d: with
@@ -100,11 +101,16 @@ def nlms_adapt(z: np.ndarray, basis: np.ndarray, cfg: LocalizerConfig) -> np.nda
     z may also be a stack (S x N x L) of snapshot sets, adapted independently
     in one pass; slice s of the S x N x M result is bit for bit the call on
     z[s].
+
+    products, if given, is (G, Z^H B) built by the caller from what it knows
+    of z (the sweep's Z = g s^T + c E, see experiments._scan_products), in
+    place of the two products formed here; the call overwrites Z^H B.
     """
     z = np.asarray(z, dtype=complex)
-    zh = z.conj().swapaxes(-1, -2)  # row l is z_l^H
-    gram = zh @ z
-    y = zh @ basis  # row l is z_l^H B, overwritten by y_l
+    if products is None:
+        zh = z.conj().swapaxes(-1, -2)  # row l is z_l^H
+        products = zh @ z, zh @ basis
+    gram, y = products  # row l of y is z_l^H B, overwritten by y_l
     steps = cfg.mu / _step_denominator(z, cfg, axis=-2)
     n_samples = z.shape[-1]
     size = math.isqrt(n_samples) or 1
@@ -147,15 +153,16 @@ def _block_inverses(gram: np.ndarray, steps: np.ndarray, size: int) -> np.ndarra
     return inv
 
 
-def _scan_result(z, basis, coeff, cfg: LocalizerConfig):
+def _scan_result(z, basis, coeff, cfg: LocalizerConfig, products=None):
     """NLMS spectrum of snapshots z (N x L) against scan vectors D = B C.
 
     P(theta) = ||X c(theta)||^2 = dictionary_power(X, C) with X = nlms_adapt(z, B),
     normalized to its maximum, with peaks above cfg.threshold. An all-zero
     spectrum is reported as degenerate. A stack z (S x N x L) is scanned with
-    one nlms_adapt call and gives a list of S results.
+    one nlms_adapt call and gives a list of S results. products goes to
+    nlms_adapt.
     """
-    power = dictionary_power(nlms_adapt(z, basis, cfg), coeff)
+    power = dictionary_power(nlms_adapt(z, basis, cfg, products), coeff)
     if power.ndim > 1:
         return [_spectrum_result(p, cfg) for p in power]
     return _spectrum_result(power, cfg)
@@ -190,17 +197,18 @@ def nlms_run(data: BeamformedData, theta: float, cfg: LocalizerConfig,
 
 
 def spectrum(data: BeamformedData, cfg: LocalizerConfig, phases: PhaseShiftMatrix,
-             ris: ArraySpec, aod_ris_pr: float) -> SpectrumResult:
+             ris: ArraySpec, aod_ris_pr: float, products=None) -> SpectrumResult:
     """P(theta) = ||a_hat_L(theta)||^2 over the grid, normalized, with peaks.
 
     Starting from a_hat = 0, the NLMS estimate after L snapshots is linear in
     the scan vector, and every scan vector d(theta) = V diag(b) a(theta) is
     B c(theta) with the basis B = V (N_epoch x M) and c(theta) a column of
     C = steering_dictionary. So the whole grid is X C with X = nlms_adapt(z, B),
-    which equals running nlms_run once per angle.
+    which equals running nlms_run once per angle. products, (Z^H Z, Z^H B)
+    built by the caller, goes to nlms_adapt; data.z is still the snapshots.
     """
     coeff = steering_dictionary(ris, cfg.grid, aod_ris_pr, cfg.include_b)
-    return _scan_result(data.z, phases.matrix, coeff, cfg)
+    return _scan_result(data.z, phases.matrix, coeff, cfg, products)
 
 
 def _peak_indices(values: np.ndarray, phi: float = -np.inf) -> list:

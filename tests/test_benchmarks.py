@@ -11,8 +11,7 @@ from risloc import (MISS_ERROR_DEG, ArraySpec, BeamformedData, LocalizerConfig,
                     SpectrumResult, music_estimate,
                     no_ris_localize, select_estimates, steering_vector,
                     trial_error)
-from risloc.benchmarks import (_rank_one_factor, _signal_fraction, _signal_subspaces,
-                               _top_eigenvalues)
+from risloc.benchmarks import _signal_fraction, _signal_subspaces, _top_eigenvalues
 from risloc.localizer import scan_vector
 from risloc.ris_optimizer import PhaseShiftMatrix
 from risloc.signal_model import dictionary_power, steering_dictionary
@@ -25,6 +24,12 @@ def unit_phases(seed, n, m):
 
 def source_data(phases, ris, thetas, aod, seed=0, n_samples=120, coherent=False):
     # coherent: every source carries the first waveform, so z is rank one
+    return BeamformedData(_sources(phases, ris, thetas, aod, seed, n_samples, coherent)[0])
+
+
+def _sources(phases, ris, thetas, aod, seed, n_samples, coherent):
+    """source_data's z, and the factors (g, s) of z = g s^T, to rounding, when
+    coherent (else None)."""
     r = np.random.default_rng(seed)
     z = np.zeros((phases.n_epoch, n_samples), dtype=complex)
     for i, theta in enumerate(thetas):
@@ -32,7 +37,8 @@ def source_data(phases, ris, thetas, aod, seed=0, n_samples=120, coherent=False)
             s = (r.standard_normal(n_samples)
                  + 1j * r.standard_normal(n_samples)) / np.sqrt(2)
         z += np.outer(scan_vector(theta, phases, ris, aod), s)
-    return BeamformedData(z)
+    g = sum(scan_vector(theta, phases, ris, aod) for theta in thetas)
+    return z, ((g, s) if coherent else None)
 
 
 GRID = np.arange(-60.0, 61.0, 5.0)
@@ -172,16 +178,17 @@ def test_music_over_scales_equals_one_call_per_acquisition(n, m, seed, thetas, s
     # call per acquisition, and of the explicit noise-subspace form. With
     # fewer than k interior maxima the explicit form returns those alone, and
     # music_estimate fills in from the other grid points. A coherent z0 is
-    # rank one, as the sweep's is, so the call takes the rank-two update
+    # rank one, as the sweep's is, and with its factors the call takes the
+    # rank-two update
     ris = ArraySpec(m)
     phases = unit_phases(seed, n, m)
-    z0 = source_data(phases, ris, thetas, 20.0, seed=seed, n_samples=60, coherent=coherent).z
+    z0, factors = _sources(phases, ris, thetas, 20.0, seed, 60, coherent)
     r = np.random.default_rng(seed + 1)
     noise = (r.standard_normal(z0.shape) + 1j * r.standard_normal(z0.shape)) / np.sqrt(2)
     scales = [0.0] + scales
     k = len(thetas)
     got = music_estimate(BeamformedData(z0), k, CFG, phases, ris, 20.0,
-                         noise=noise, scales=scales)
+                         noise=noise, scales=scales, factors=factors)
     assert len(got) == len(scales)
     for s, est in zip(scales, got):
         acquisition = z0 + s * noise
@@ -217,14 +224,15 @@ _rank_one_cases = dict(
 
 
 def rank_one_draw(n, l, seed, g_norm):
-    """z0 = g t^T as in the sweep, ||g|| about g_norm, unit noise (both
-    N x L), and the function that drew them, for further draws."""
+    """z0 = g t^T as in the sweep, its factors (g, t), ||g|| about g_norm,
+    unit noise (N x L), and the function that drew them, for further draws."""
     r = np.random.default_rng(seed)
 
     def cn(*shape):
         return (r.standard_normal(shape) + 1j * r.standard_normal(shape)) / np.sqrt(2)
 
-    return np.outer(g_norm * cn(n), cn(l)), cn(n, l), cn
+    g, t = g_norm * cn(n), cn(l)
+    return np.outer(g, t), (g, t), cn(n, l), cn
 
 
 @given(m=st.integers(4, 12), **_rank_one_cases)
@@ -234,12 +242,12 @@ def test_rank_two_update_matches_eigh(n, l, k, m, seed, g_norm, scales):
     # singular when L < N. The structured path's projector S S^H is held to
     # eigh's within RANK_TWO_C eps ||G|| / gap, the size of eigh's own error
     l, k = min(l, 2 * n), min(k, n - 1)
-    z0, noise, cn = rank_one_draw(n, l, seed, g_norm)
+    z0, factors, noise, cn = rank_one_draw(n, l, seed, g_norm)
     a = z0 @ z0.conj().T
     b = z0 @ noise.conj().T
     b += b.conj().T
     c = noise @ noise.conj().T
-    for s, sub in zip(scales, _signal_subspaces(z0, k, noise, scales)):
+    for s, sub in zip(scales, _signal_subspaces(z0, k, noise, scales, factors)):
         gram = a + s * (b + s * c)
         lam, vecs = np.linalg.eigh(gram)
         err = np.linalg.norm(sub @ sub.conj().T - vecs[:, n - k:] @ vecs[:, n - k:].conj().T, 2)
@@ -249,8 +257,9 @@ def test_rank_two_update_matches_eigh(n, l, k, m, seed, g_norm, scales):
         if k > l:  # rank(gram) <= L, so lambda_k = 0 is a pole: eigh is kept
             assert np.array_equal(sub, vecs[:, n - k:])
 
-    # noise=None, a scale of 0 and a rank-two z0 give the dense path's picks
-    # (eigh of every Gram matrix) exactly
+    # noise=None and a scale of 0 give the dense path's picks (eigh of every
+    # Gram matrix) exactly; without factors, the rank-one z0 and a rank-two
+    # z2 take the dense path at every scale
     ris, phases = ArraySpec(m), unit_phases(seed, n, m)
     z2 = z0 + np.outer(cn(n), cn(l))
     scales = [0.0] + scales
@@ -258,11 +267,32 @@ def test_rank_two_update_matches_eigh(n, l, k, m, seed, g_norm, scales):
     def picks(z, **kw):
         return music_estimate(BeamformedData(z), k, CFG, phases, ris, 20.0, **kw)
 
-    with mock.patch("risloc.benchmarks._rank_one_factor", return_value=None):
+    with mock.patch("risloc.benchmarks._top_eigenvalues",
+                    side_effect=AssertionError("rank-two update without factors")):
         dense = [picks(z, noise=noise, scales=scales) for z in (z0, z2)]
-    assert picks(z0) == picks(z0, noise=noise, scales=scales)[0] == dense[0][0]
-    if l > 1:  # an N x 1 z2 is rank one too
-        assert picks(z2, noise=noise, scales=scales) == dense[1]
+    assert (picks(z0) == picks(z0, noise=noise, scales=scales, factors=factors)[0]
+            == dense[0][0])
+    assert picks(z2, noise=noise, scales=scales) == dense[1]
+
+
+@given(m=st.integers(1, 16), **_rank_one_cases)
+@settings(max_examples=150, deadline=None)
+def test_music_with_acquisition_factors_picks_as_dense(n, l, k, m, seed, g_norm, scales):
+    # the sweep's call, with the factors (g, t) of z0 = g t^T, against the one
+    # without them, which takes eigh at every scale: wherever the eigengap
+    # lambda_K - lambda_K+1 is clear of the rank-two path's projector error
+    # (RANK_TWO_C eps ||G|| / gap), both pick the same grid angles
+    l, k = min(l, 2 * n), min(k, n - 1)
+    z0, factors, noise, _ = rank_one_draw(n, l, seed, g_norm)
+    ris, phases = ArraySpec(m), unit_phases(seed, n, m)
+    call = dict(k_true=k, cfg=CFG, phases=phases, ris=ris, aod_ris_pr=20.0, noise=noise,
+                scales=scales)
+    got = music_estimate(BeamformedData(z0), factors=factors, **call)
+    dense = music_estimate(BeamformedData(z0), **call)
+    for s, est, ref in zip(scales, got, dense):
+        lam = np.linalg.eigvalsh((z0 + s * noise) @ (z0 + s * noise).conj().T)
+        if lam[n - k] - lam[n - k - 1] >= 1e-6 * lam[-1]:
+            assert est == ref
 
 
 @given(**_rank_one_cases)
@@ -275,8 +305,7 @@ def test_top_eigenvalues_match_eigvalsh(n, l, k, seed, g_norm, scales):
     # K <= L, lambda_K > 0 is not one of the N - L zero eigenvalues of C
     l = min(l, 2 * n)
     k = min(k, n - 1, l)
-    z0, noise, _ = rank_one_draw(n, l, seed, g_norm)
-    g, t = _rank_one_factor(z0)
+    z0, (g, t), noise, _ = rank_one_draw(n, l, seed, g_norm)
     lam, q = np.linalg.eigh(noise @ noise.conj().T)
     w = q.conj().T @ np.stack([g, noise @ t.conj()], axis=1)
     mu = _top_eigenvalues(lam, w, np.vdot(t, t).real, np.asarray(scales), k)
@@ -326,8 +355,7 @@ def test_top_eigenvalues_match_bisection_reference(n, l, k, seed, g_norm, scales
     # exact eigenvalue, so they are within twice that of each other
     l = min(l, 2 * n)
     k = min(k, n - 1, l)
-    z0, noise, _ = rank_one_draw(n, l, seed, g_norm)
-    g, t = _rank_one_factor(z0)
+    z0, (g, t), noise, _ = rank_one_draw(n, l, seed, g_norm)
     lam, q = np.linalg.eigh(noise @ noise.conj().T)
     w = q.conj().T @ np.stack([g, noise @ t.conj()], axis=1)
     args = lam, w, np.vdot(t, t).real, np.asarray(scales), k
@@ -343,13 +371,13 @@ def test_zero_noise_takes_the_noise_free_subspace(n, l, k, m, seed, g_norm, scal
     # all-zero noise leaves every acquisition z0, so every scale gets the
     # picks of noise=None, with no bisection
     k = min(k, n - 1)
-    z0, noise, _ = rank_one_draw(n, l, seed, g_norm)
+    z0, factors, noise, _ = rank_one_draw(n, l, seed, g_norm)
     ris, phases = ArraySpec(m), unit_phases(seed, n, m)
     scales = [0.0] + scales
     with mock.patch("risloc.benchmarks._top_eigenvalues",
                     side_effect=AssertionError("bisection on zero noise")):
         got = music_estimate(BeamformedData(z0), k, CFG, phases, ris, 20.0,
-                             noise=np.zeros_like(noise), scales=scales)
+                             noise=np.zeros_like(noise), scales=scales, factors=factors)
     assert got == [music_estimate(BeamformedData(z0), k, CFG, phases, ris, 20.0)] * len(scales)
 
 

@@ -238,6 +238,39 @@ def test_unknown_config_keys_fail_at_load(tmp_path):
     assert load_config(path).make_scene(np.random.default_rng(0)).rician_targets_pr == []
 
 
+def _zero_ris_path(d, *keys):
+    for key in keys:
+        d["scene"][key] = [0.0] * len(d["scene"][key]) if key == "gain_targets" else 0.0
+    return d
+
+
+@pytest.mark.parametrize("keys", [("gain_ris_pr",), ("gain_targets", "gain_ap_ris")])
+def test_zero_ris_path_power_fails_before_any_output(tmp_path, keys):
+    # SNR is defined against |gain_ris_pr|^2 mean|x|^2, so with no RIS-path
+    # power every finite SNR gave sigma^2 = 0: a noise-free run under a noisy
+    # label. Such a run fails before it writes a file; +inf dB (noise-free
+    # anyway) and beampattern runs, which take no SNR, still run
+    d = _zero_ris_path(tiny_config_dict(beampattern_placements=[0.0]), *keys)
+    match = r"SNR -5 dB is undefined: .*gain_ris_pr is 0, or gain_targets and gain_ap_ris"
+    cfg = config_from_dict(d)
+    with pytest.raises(ValueError, match=match):
+        run_mse_sweep(cfg, out_dir=str(tmp_path / "sweep"))
+    with pytest.raises(ValueError, match=match):
+        run_mse_sweep(dataclasses.replace(cfg, snr_sweep_db=[float("inf"), -5.0]),
+                      out_dir=str(tmp_path / "sweep"))
+    with pytest.raises(ValueError, match=match.replace("-5", "10")):
+        run_spectrum(cfg, out_dir=str(tmp_path / "spectrum"))
+    assert not [f for _, _, files in os.walk(tmp_path) for f in files]
+    rows = run_mse_sweep(dataclasses.replace(cfg, snr_sweep_db=[float("inf")]),
+                         out_dir=str(tmp_path / "noise-free"))
+    assert len(rows) == len(cfg.methods)
+    run_spectrum(dataclasses.replace(cfg, snr_db=float("inf")),
+                 out_dir=str(tmp_path / "noise-free"))
+    run_beampattern(cfg, out_dir=str(tmp_path / "beampattern"))
+    with pytest.raises(ValueError, match=match.replace("-5", "0")):
+        noise_variance_for_snr(cfg.make_scene(np.random.default_rng(0)), 0.0, 0.0)
+
+
 def test_step_grid_ends_at_the_last_step_not_past_stop():
     # the last point is the largest start + i step <= stop; a stop that sits
     # on a step, exactly or up to rounding, is the last point
@@ -329,7 +362,7 @@ def test_trial_rng_keys_reproduce_the_driver_streams():
 
 # ---------------------------------------------------------------- drivers
 
-@pytest.mark.parametrize("overrides", [{}, {"gain_ap_pr": 0j}])
+@pytest.mark.parametrize("overrides", [{}, {"gain_ap_pr": 0j}, {"gain_ap_ris": 0j}])
 def test_beamformed_epochs_equal_the_per_epoch_chain(overrides):
     # a direct path with zero gain is skipped by pr_received together with its
     # fading draw, so the chain must skip the draw too to stay on one stream
@@ -340,7 +373,7 @@ def test_beamformed_epochs_equal_the_per_epoch_chain(overrides):
     wf = generate_waveform(20, setup)
     w = matched_weight(pr, scene.aoa_ris_pr)
     chain_rng, oracle_rng = np.random.default_rng(8), np.random.default_rng(8)
-    z0, x_power = beamformed_epochs(scene, wf, phases, ris, pr, w, chain_rng)
+    z0, (g, s), x_power = beamformed_epochs(scene, wf, phases, ris, pr, w, chain_rng)
     ref = beamform(simulate_epochs(scene, wf, phases, pr, ris, NoiseModel(0.0),
                                    oracle_rng), w).z
     assert np.max(np.abs(z0 - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -348,6 +381,17 @@ def test_beamformed_epochs_equal_the_per_epoch_chain(overrides):
     incident = ris_incident(scene, wf, ris)
     x = np.stack([ris_reflect(incident, v, scene.aod_ris_pr, ris) for v in phases.matrix])
     assert x_power == pytest.approx(float(np.mean(np.abs(x) ** 2)), rel=1e-12)
+
+    # Z0 is the outer product of its factors, and g is g_ris + g_dir: the g of
+    # the scene without its direct paths plus that of the scene without the RIS
+    assert np.array_equal(s, wf.samples) and np.array_equal(z0, np.outer(g, s))
+    no_direct = dataclasses.replace(scene, gain_ap_pr=0j,
+                                    gain_targets_pr=[0j] * scene.n_targets)
+    no_ris = dataclasses.replace(scene, gain_ris_pr=0j)
+    g_ris, g_dir = (beamformed_epochs(part, wf, phases, ris, pr, w,
+                                      np.random.default_rng(8))[1][0]
+                    for part in (no_direct, no_ris))
+    assert np.array_equal(g, g_ris + g_dir)
 
 
 @pytest.mark.parametrize("overrides", [{}, {"gain_ap_pr": 0j}])
@@ -397,7 +441,10 @@ def test_spectrum_degenerate_scene_reports_nothing(tmp_path):
     d["scene"]["gain_targets_pr"] = []
     d["scene"]["gain_ap_ris"] = 0.0
     d["scene"]["gain_ap_pr"] = 0.0
-    cfg = config_from_dict(d)
+    # nothing reaches the RIS, so a finite SNR is undefined (see
+    # test_zero_ris_path_power_fails_before_any_output); noise-free, the
+    # all-zero acquisition is a degenerate spectrum
+    cfg = config_from_dict(dict(d, snr_db=float("inf")))
     res = run_spectrum(cfg, out_dir=str(tmp_path))
     assert res.degenerate and res.k_hat == 0
     summary = json.loads((tmp_path / "spectrum_summary.json").read_text())
@@ -462,7 +509,7 @@ def _sweep_trial_per_snr_point(cfg, m_index, m_elements, trial):
     draws, then every acquisition formed and scanned on its own."""
     rng = trial_rng(cfg.seed, m_index, trial)
     ris = ArraySpec(m_elements, cfg.ris.spacing)
-    scene, phases, waveform, w, z0, x_power = _acquisition(cfg, ris, rng)
+    scene, phases, waveform, w, z0, _, x_power = _acquisition(cfg, ris, rng)
     y0_nr = _no_ris_epoch(scene, waveform, cfg.pr, rng)
     ez, e1 = complex_normal(z0.shape, rng), complex_normal(y0_nr.shape, rng)
     k, aod = scene.n_targets, scene.aod_ris_pr
@@ -548,19 +595,19 @@ def test_sweep_noiseless_strong_targets_hit_grid(tmp_path):
 
 
 def test_write_csv_equals_per_row_format(tmp_path):
-    # one format call over the repeated row template gives each row the text
-    # of its own format call, edge values included
+    # one % over the repeated printf row template gives each row the text of
+    # its own str.format call on the matching template, edge values included
     values = [-0.0, 0.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300, 5e-324, 1.0 / 3.0]
     rows = [(i, "nlms_ris", v, -v, True, False, i % 3 == 0) for i, v in enumerate(values)]
     row_format = "{},{},{:.10g},{:.6g},{:d},{},{:d}"
     path = tmp_path / "t.csv"
-    _write_csv(path, "a,b,c,d,e,f,g", row_format, iter(rows))
+    _write_csv(path, "a,b,c,d,e,f,g", "%s,%s,%.10g,%.6g,%d,%s,%d", iter(rows))
     want = "a,b,c,d,e,f,g\n" + "".join(row_format.format(*row) + "\n" for row in rows)
     assert path.read_bytes() == want.encode()
     assert path.read_text().splitlines()[1:5] == [
         "0,nlms_ris,-0,0,1,False,1", "1,nlms_ris,0,-0,1,False,0",
         "2,nlms_ris,inf,-inf,1,False,0", "3,nlms_ris,-inf,inf,1,False,1"]
-    _write_csv(path, "a", "{}", [])
+    _write_csv(path, "a", "%s", [])
     assert path.read_bytes() == b"a\n"
 
 
